@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"intervaljoin/internal/core"
@@ -37,6 +38,9 @@ type Service struct {
 
 	mu   sync.Mutex
 	rels map[string]*residentRel
+
+	// runSeq numbers delta runs, naming each run's scratch namespace.
+	runSeq atomic.Int64
 }
 
 // residentRel is one registered relation: the in-memory copy (bound into
@@ -97,7 +101,7 @@ func (s *Service) Register(rel *relation.Relation) (version int, err error) {
 	records := make([]string, rel.Len())
 	anchors := make(map[int64]interval.Interval, rel.Len())
 	for i, t := range rel.Tuples {
-		records[i] = relation.EncodeTuple(t)
+		records[i] = relation.EncodeRecord(relation.Header{}, t)
 		anchors[t.ID] = t.Attrs[0]
 	}
 	file, version, err := s.residents.Register(rel.Schema.Name, records)
@@ -358,13 +362,15 @@ func (s *Service) bind(q *query.Query) ([]*relation.Relation, []string, string, 
 // traced derivation). Engine runs serialize on runMu; the result is
 // exactly the rows whose anchor intersects the gap, including whole
 // (unclipped) straddling anchors — the halo the merge dedups — plus the
-// run's engine metrics for the telemetry bridge.
+// run's engine metrics for the telemetry bridge. The run's scratch files
+// are removed once its rows are read, so a long-running service's store
+// holds only the resident files.
 func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, gap Window) ([]core.OutputTuple, string, *mr.Metrics, error) {
 	opts := s.opts
 	opts.Window = &[2]interval.Point{gap.Lo, gap.Hi}
 	opts.WindowRel = 0
 	opts.ResidentInputs = files
-	opts.Scratch = "" // per-run unique scratch namespace
+	opts.Scratch = "delta-" + strconv.FormatInt(s.runSeq.Add(1), 10)
 	ctx, err := core.NewContext(engine, q, rels, opts)
 	if err != nil {
 		return nil, "", nil, err
@@ -373,10 +379,27 @@ func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.R
 	s.runMu.Lock()
 	res, err := alg.Run(ctx)
 	s.runMu.Unlock()
+	if cerr := removeScratch(engine.Store(), opts.Scratch+"/"); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, "", nil, err
 	}
 	return res.Tuples, res.Algorithm, res.Metrics, nil
+}
+
+// removeScratch deletes every store file under the prefix.
+func removeScratch(store dfs.Store, prefix string) error {
+	names, err := store.List(prefix)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if err := store.Remove(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeEngine folds one delta run's engine metrics into the answer.

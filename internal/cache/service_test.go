@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"intervaljoin/internal/core"
@@ -75,7 +76,7 @@ func predQuery(t *testing.T, pred interval.Predicate) *query.Query {
 // oracleWindow computes the expected windowed answer with the in-memory
 // reference join: the window filter restricts relation 0 exactly as the
 // engine's feed-time filter does.
-func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) map[string]struct{} {
+func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.Relation, w Window) []core.OutputTuple {
 	t.Helper()
 	opts := core.Options{Window: &[2]interval.Point{w.Lo, w.Hi}}
 	ctx, err := core.NewContext(svc.engine, q, rels, opts)
@@ -86,28 +87,13 @@ func oracleWindow(t *testing.T, svc *Service, q *query.Query, rels []*relation.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.TupleSet()
+	return res.Tuples
 }
 
-func answerSet(a *Answer) map[string]struct{} {
-	set := make(map[string]struct{}, len(a.Rows))
-	for _, r := range a.Rows {
-		set[r.Key()] = struct{}{}
-	}
-	return set
-}
-
-func diffSets(t *testing.T, label string, got, want map[string]struct{}) {
+func diffRows(t *testing.T, label string, got, want []core.OutputTuple) {
 	t.Helper()
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			t.Fatalf("%s: missing row %s (got %d rows, want %d)", label, k, len(got), len(want))
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Fatalf("%s: extra row %s (got %d rows, want %d)", label, k, len(got), len(want))
-		}
+	if err := core.DiffRows(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -152,7 +138,7 @@ func TestCachedMergePlusDeltaEqualsColdRun(t *testing.T) {
 					sawPartial = true
 				}
 				want := oracleWindow(t, svc, q, rels, w)
-				diffSets(t, p.String()+" window "+w.string()+" (query "+itoa(i)+")", answerSet(ans), want)
+				diffRows(t, p.String()+" window "+w.string()+" (query "+itoa(i)+")", ans.Rows, want)
 			}
 			st := svc.Stats()
 			if st.FullHits == 0 || st.PartialHits == 0 || st.HitSegments == 0 {
@@ -220,7 +206,7 @@ func TestWarmAnswerMatchesColdEngineRun(t *testing.T) {
 		if coldAns.HitSegments != 0 {
 			t.Fatalf("cold service reported cache hits: %+v", coldAns)
 		}
-		diffSets(t, "warm vs cold "+w.string(), answerSet(warmAns), answerSet(coldAns))
+		diffRows(t, "warm vs cold "+w.string(), warmAns.Rows, coldAns.Rows)
 	}
 }
 
@@ -252,7 +238,7 @@ func TestVersionBumpInvalidates(t *testing.T) {
 		t.Fatalf("cache key did not change across versions: %+v", first.Key)
 	}
 	want := oracleWindow(t, svc, q, []*relation.Relation{r1, r2b}, w)
-	diffSets(t, "post-bump", answerSet(second), want)
+	diffRows(t, "post-bump", second.Rows, want)
 }
 
 // TestThreeWayHybridWindow covers a multi-relation hybrid query through the
@@ -275,7 +261,7 @@ func TestThreeWayHybridWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffSets(t, "hybrid "+w.string(), answerSet(ans), oracleWindow(t, svc, q, rels, w))
+		diffRows(t, "hybrid "+w.string(), ans.Rows, oracleWindow(t, svc, q, rels, w))
 	}
 	if st := svc.Stats(); st.FullHits == 0 || st.HitSegments == 0 {
 		t.Fatalf("hybrid mix never hit the cache: %+v", st)
@@ -290,5 +276,30 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 	}
 	if _, err := svc.Query(predQuery(t, interval.Meets), Window{10, 0}); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+// TestDeltaRunsLeaveNoScratch checks delta and cold runs remove their
+// scratch files: after 50 queries over distinct gaps, the store holds only
+// the resident files.
+func TestDeltaRunsLeaveNoScratch(t *testing.T) {
+	svc := newTestService(t, adversarialRelation("R1", 37), adversarialRelation("R2", 41))
+	q := predQuery(t, interval.Overlaps)
+	for i := 0; i < 50; i++ {
+		w := Window{interval.Point(i * 10), interval.Point(i*10 + 4)}
+		if _, err := svc.Query(q, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.RunCold(q, Window{0, 400}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := svc.engine.Store().List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{dfs.ResidentFile("R1", 1), dfs.ResidentFile("R2", 1)}
+	if !slices.Equal(files, want) {
+		t.Fatalf("store holds %q, want only the resident files %q", files, want)
 	}
 }

@@ -3,13 +3,13 @@ package core
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"intervaljoin/internal/cost"
 	"intervaljoin/internal/grid"
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
+	"intervaljoin/internal/relation"
 )
 
 // Skew-aware execution plan. The paper's partitioning maps partition
@@ -432,28 +432,22 @@ func resplitValues(streams int, streamOf func(string) int) func(key int64, value
 	}
 }
 
-// streamOfTagged classifies a tagged record ("<rel>;...") by its relation
-// tag — the stream function of the single-cycle join jobs.
+// streamOfTagged classifies a record by its relation tag — the stream
+// function of the single-cycle join jobs.
 func streamOfTagged(v string) int {
-	sep := strings.IndexByte(v, ';')
-	if sep <= 0 {
-		return -1
-	}
-	rel, err := strconv.Atoi(v[:sep])
+	h, err := relation.DecodeHeader(v)
 	if err != nil {
 		return -1
 	}
-	return rel
+	return h.Rel
 }
 
-// cascadeStreams classifies a cascade step's values: stream 0 carries the
-// partial assignments, stream 1 the novel relation's tuples — mirroring
-// the reduce function's own partial/novel separation.
+// cascadeStreams classifies a cascade step's values: stream 1 carries the
+// novel relation's tuples, stream 0 the partial assignments, whose first
+// record is never the novel relation's — mirroring the reduce function's
+// own partial/novel separation.
 func cascadeStreams(novel, existing int) func(string) int {
 	return func(v string) int {
-		if strings.IndexByte(v, '#') >= 0 {
-			return 0 // multi-tuple partial assignment
-		}
 		rel := streamOfTagged(v)
 		if rel < 0 {
 			return -1

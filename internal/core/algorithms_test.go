@@ -36,7 +36,6 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSet := want.TupleSet()
 	for _, alg := range algs {
 		o := opts
 		o.Scratch = "" // per-algorithm default scratch
@@ -48,25 +47,8 @@ func crossValidate(t *testing.T, q *query.Query, rels []*relation.Relation, opts
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		gotSet := got.TupleSet()
-		if len(got.Tuples) != len(gotSet) {
-			t.Errorf("%s: %d tuples but %d distinct — duplicates emitted (query %s)",
-				alg.Name(), len(got.Tuples), len(gotSet), q)
-		}
-		if len(gotSet) != len(wantSet) {
-			t.Errorf("%s: %d tuples, oracle has %d (query %s)", alg.Name(), len(gotSet), len(wantSet), q)
-		}
-		for k := range wantSet {
-			if _, ok := gotSet[k]; !ok {
-				t.Errorf("%s: missing output tuple %s (query %s)", alg.Name(), k, q)
-				break
-			}
-		}
-		for k := range gotSet {
-			if _, ok := wantSet[k]; !ok {
-				t.Errorf("%s: spurious output tuple %s (query %s)", alg.Name(), k, q)
-				break
-			}
+		if err := DiffRows(got.Tuples, want.Tuples); err != nil {
+			t.Errorf("%s: %v (query %s)", alg.Name(), err, q)
 		}
 	}
 }

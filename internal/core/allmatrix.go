@@ -83,7 +83,7 @@ func (a AllMatrix) Run(ctx *Context) (*Result, error) {
 		Name:   opts.Scratch + "/join",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -116,7 +116,7 @@ func (a AllMatrix) Run(ctx *Context) (*Result, error) {
 				for i, t := range asg {
 					out[i] = t.ID
 				}
-				outErr = write(out.Key())
+				outErr = write(relation.EncodeRow(out))
 			})
 			if err != nil {
 				return err

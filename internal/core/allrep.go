@@ -51,7 +51,7 @@ func (a AllRep) Run(ctx *Context) (*Result, error) {
 		Name:   opts.Scratch + "/join",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -177,7 +177,7 @@ func reduceJoinAtPartition(ctx *Context, plan *execPlan) mr.ReduceFunc {
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			outErr = write(relation.EncodeRow(out))
 		})
 		if err != nil {
 			return err

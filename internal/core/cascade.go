@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"intervaljoin/internal/grid"
 	"intervaljoin/internal/interval"
@@ -245,7 +244,7 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 			var err error
 			if firstStep {
 				var t relation.Tuple
-				t, err = relation.DecodeTuple(record)
+				_, t, err = relation.DecodeRecord(record)
 				pa = partialAssignment{{rel: step.existing, tuple: t}}
 			} else {
 				pa, err = decodePartial(record)
@@ -263,7 +262,7 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 			plan.emitRange(emit, first, lastP, 0, enc)
 			return nil
 		}
-		t, err := relation.DecodeTuple(record)
+		_, t, err := relation.DecodeRecord(record)
 		if err != nil {
 			return err
 		}
@@ -306,7 +305,7 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 					for _, bt := range merged {
 						out[bt.rel] = bt.tuple.ID
 					}
-					rec = out.Key()
+					rec = relation.EncodeRow(out)
 				} else {
 					rec = encodePartial(merged)
 				}
@@ -377,25 +376,26 @@ func (pa partialAssignment) mustIntervalOf(rel, attr int) interval.Interval {
 	panic(fmt.Sprintf("core: relation %d not bound in partial assignment", rel))
 }
 
-// encodePartial joins the tagged tuples with '#'.
+// encodePartial concatenates the bound tuples' tagged records.
 func encodePartial(pa partialAssignment) string {
-	parts := make([]string, len(pa))
-	for i, bt := range pa {
-		parts[i] = encodeTagged(bt.rel, bt.tuple)
+	var b []byte
+	for _, bt := range pa {
+		b = relation.AppendRecord(b, relation.Header{Rel: bt.rel}, bt.tuple)
 	}
-	return strings.Join(parts, "#")
+	return string(b)
 }
 
 // decodePartial parses encodePartial's output.
 func decodePartial(s string) (partialAssignment, error) {
-	parts := strings.Split(s, "#")
-	pa := make(partialAssignment, len(parts))
-	for i, p := range parts {
-		rel, t, err := decodeTagged(p)
+	var pa partialAssignment
+	for {
+		h, t, rest, err := relation.NextRecord(s)
 		if err != nil {
 			return nil, err
 		}
-		pa[i] = boundTuple{rel: rel, tuple: t}
+		pa = append(pa, boundTuple{rel: h.Rel, tuple: t})
+		if s = rest; s == "" {
+			return pa, nil
+		}
 	}
-	return pa, nil
 }

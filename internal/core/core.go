@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"intervaljoin/internal/interval"
@@ -184,33 +183,13 @@ func (c *Context) relInput(ri, tag int) mr.Input {
 }
 
 // windowFilter returns a record predicate keeping tuples whose first
-// interval attribute intersects the closed window [lo, hi]. Records are the
-// engine's canonical tuple encoding "id|s,e|..." (relation.EncodeTuple);
-// the first attribute is parsed in place. Malformed records pass through:
-// the map side owns format errors and reports them with its usual context.
+// interval attribute intersects the closed window [lo, hi]. Malformed
+// records pass through: the map side owns format errors and reports them
+// with its usual context.
 func windowFilter(lo, hi interval.Point) func(string) bool {
 	return func(rec string) bool {
-		b := strings.IndexByte(rec, '|')
-		if b < 0 {
-			return true
-		}
-		body := rec[b+1:]
-		if e := strings.IndexByte(body, '|'); e >= 0 {
-			body = body[:e]
-		}
-		comma := strings.IndexByte(body, ',')
-		if comma < 0 {
-			return true
-		}
-		s, err := strconv.ParseInt(body[:comma], 10, 64)
-		if err != nil {
-			return true
-		}
-		e, err := strconv.ParseInt(body[comma+1:], 10, 64)
-		if err != nil {
-			return true
-		}
-		return s <= hi && e >= lo
+		iv, err := relation.FirstAttr(rec)
+		return err != nil || (iv.Start <= hi && iv.End >= lo)
 	}
 }
 
@@ -229,7 +208,7 @@ func (c *Context) Stage() error {
 			return err
 		}
 		for _, t := range r.Tuples {
-			if err := w.Write(relation.EncodeTuple(t)); err != nil {
+			if err := w.Write(relation.EncodeRecord(relation.Header{}, t)); err != nil {
 				w.Close()
 				return err
 			}
@@ -303,27 +282,16 @@ func (c *Context) jobMeta(alg string, cycle int) mr.JobMeta {
 // relation order.
 type OutputTuple []int64
 
-// Key renders the canonical form used for set comparison.
+// Key renders the ids comma-separated, the form ijoin prints.
 func (o OutputTuple) Key() string {
-	parts := make([]string, len(o))
+	b := make([]byte, 0, 8*len(o))
 	for i, id := range o {
-		parts[i] = strconv.FormatInt(id, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseOutputTuple parses the canonical form.
-func ParseOutputTuple(s string) (OutputTuple, error) {
-	parts := strings.Split(s, ",")
-	out := make(OutputTuple, len(parts))
-	for i, p := range parts {
-		id, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad output tuple %q: %v", s, err)
+		if i > 0 {
+			b = append(b, ',')
 		}
-		out[i] = id
+		b = strconv.AppendInt(b, id, 10)
 	}
-	return out, nil
+	return string(b)
 }
 
 // Result is what an algorithm run produces.
@@ -347,24 +315,41 @@ type Result struct {
 }
 
 // SortTuples orders the output canonically for comparison and display.
-func (r *Result) SortTuples() {
-	slices.SortFunc(r.Tuples, func(a, b OutputTuple) int {
-		for k := range a {
-			if c := cmp.Compare(a[k], b[k]); c != 0 {
-				return c
-			}
+func (r *Result) SortTuples() { slices.SortFunc(r.Tuples, compareRows) }
+
+// compareRows orders output rows lexicographically by id.
+func compareRows(a, b OutputTuple) int {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if c := cmp.Compare(a[k], b[k]); c != 0 {
+			return c
 		}
-		return 0
-	})
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
-// TupleSet returns the output as a set of canonical keys.
-func (r *Result) TupleSet() map[string]struct{} {
-	set := make(map[string]struct{}, len(r.Tuples))
-	for _, t := range r.Tuples {
-		set[t.Key()] = struct{}{}
+// DiffRows compares two row sets: it sorts copies of both, reports a
+// duplicate in got as equal neighbours, and otherwise names the first row
+// missing from or spurious in got. A nil error means the sets are equal.
+func DiffRows(got, want []OutputTuple) error {
+	g, w := slices.Clone(got), slices.Clone(want)
+	slices.SortFunc(g, compareRows)
+	slices.SortFunc(w, compareRows)
+	for i := 1; i < len(g); i++ {
+		if compareRows(g[i-1], g[i]) == 0 {
+			return fmt.Errorf("duplicate output tuple %v", g[i])
+		}
 	}
-	return set
+	if slices.EqualFunc(g, w, slices.Equal) {
+		return nil
+	}
+	for i := 0; ; i++ {
+		switch {
+		case i == len(w) || (i < len(g) && compareRows(g[i], w[i]) < 0):
+			return fmt.Errorf("spurious output tuple %v (%d tuples, want %d)", g[i], len(g), len(w))
+		case i == len(g) || compareRows(g[i], w[i]) > 0:
+			return fmt.Errorf("missing output tuple %v (%d tuples, want %d)", w[i], len(g), len(w))
+		}
+	}
 }
 
 // Algorithm is a runnable join algorithm.
@@ -401,7 +386,7 @@ func runMarkedChain(ctx *Context, opts Options, marked string, markJob mr.Job,
 		return perCycle, agg, replicated, nil
 	}
 	var replicated int64
-	stages := append([]mr.Stage{{Job: markJob, Tap: replicateFlagTap(&replicated)}}, rest...)
+	stages := append([]mr.Stage{{Job: markJob, Tap: flaggedTap(&replicated)}}, rest...)
 	perCycle, agg, err := ctx.Engine.RunPipeline(stages...)
 	if err != nil {
 		return nil, nil, 0, err
@@ -409,19 +394,43 @@ func runMarkedChain(ctx *Context, opts Options, marked string, markJob mr.Job,
 	return perCycle, agg, replicated, nil
 }
 
-// replicateFlagTap counts replicate-flagged records streaming out of a mark
-// cycle — the pipelined stand-in for countFlagged, which would force the
-// marked intermediate onto the store. Records are "<rel>;<flag>;<tuple>".
-func replicateFlagTap(n *int64) func(string) {
+// flaggedTap counts records with a set flag streaming out of a mark cycle —
+// the pipelined stand-in for countFlagged, which would force the marked
+// intermediate onto the store.
+func flaggedTap(n *int64) func(string) {
 	return func(rec string) {
-		if i := strings.IndexByte(rec, ';'); i >= 0 && i+2 < len(rec) && rec[i+1] == '1' && rec[i+2] == ';' {
+		if h, err := relation.DecodeHeader(rec); err == nil && h.Flagged() {
 			*n++
 		}
 	}
 }
 
+// countFlagged counts the records of a marking output with a set flag —
+// the paper's "# Intervals Replicated" statistic.
+func countFlagged(ctx *Context, file string) (int64, error) {
+	var n int64
+	err := forEachRecord(ctx, file, func(rec string) error {
+		h, err := relation.DecodeHeader(rec)
+		if h.Flagged() {
+			n++
+		}
+		return err
+	})
+	return n, err
+}
+
 // readOutput decodes the final job output file into Result.Tuples.
 func readOutput(ctx *Context, file string, res *Result) error {
+	return forEachRecord(ctx, file, func(rec string) error {
+		ids, err := relation.DecodeRow(rec)
+		res.Tuples = append(res.Tuples, ids)
+		return err
+	})
+}
+
+// forEachRecord calls fn on every record of a store file, stopping at the
+// first error.
+func forEachRecord(ctx *Context, file string, fn func(rec string) error) error {
 	it, err := ctx.Engine.Store().Open(file)
 	if err != nil {
 		return err
@@ -429,16 +438,28 @@ func readOutput(ctx *Context, file string, res *Result) error {
 	defer it.Close()
 	for {
 		rec, ok, err := it.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		t, err := ParseOutputTuple(rec)
-		if err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
-		res.Tuples = append(res.Tuples, t)
 	}
+}
+
+// encodeTagged is the record of tuple t tagged with relation rel.
+func encodeTagged(rel int, t relation.Tuple) string {
+	return relation.EncodeRecord(relation.Header{Rel: rel}, t)
+}
+
+// encodeFlagged is the record of tuple t carrying one replicate flag for
+// its (rel, attr) vertex — a mark cycle's output.
+func encodeFlagged(rel, attr int, replicate bool, t relation.Tuple) string {
+	return relation.EncodeRecord(relation.Header{Rel: rel, Attr: attr, Flags: []bool{replicate}}, t)
+}
+
+// decodeFlagged decodes encodeFlagged's record.
+func decodeFlagged(s string) (rel int, replicate bool, t relation.Tuple, err error) {
+	h, t, err := relation.DecodeRecord(s)
+	return h.Rel, h.Flagged(), t, err
 }

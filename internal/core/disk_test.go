@@ -56,8 +56,8 @@ func TestDiskStoreWithSpillEndToEnd(t *testing.T) {
 		if got.Metrics.SpillRuns == 0 {
 			t.Errorf("%s: expected shuffle spills at threshold 512", alg.Name())
 		}
-		if len(got.TupleSet()) != len(want.Tuples) {
-			t.Fatalf("%s on disk+spill: %d tuples, oracle %d", alg.Name(), len(got.TupleSet()), len(want.Tuples))
+		if err := DiffRows(got.Tuples, want.Tuples); err != nil {
+			t.Fatalf("%s on disk+spill: %v", alg.Name(), err)
 		}
 	}
 }

@@ -219,7 +219,7 @@ func (FCTS) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 				for i, t := range asg {
 					out[i] = t.ID
 				}
-				outErr = write(out.Key())
+				outErr = write(relation.EncodeRow(out))
 				return
 			}
 		next:

@@ -171,7 +171,7 @@ func (FSTC) sequenceJob(ctx *Context, opts Options, part interval.Partitioning,
 		Name:   opts.Scratch + "/sequence",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -261,7 +261,7 @@ func (FSTC) colocStepJob(ctx *Context, opts Options, part interval.Partitioning,
 				emit.EmitRange(int64(first), int64(lastP), record)
 				return nil
 			}
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -298,7 +298,7 @@ func (FSTC) colocStepJob(ctx *Context, opts Options, part interval.Partitioning,
 						for _, bt := range merged {
 							out[bt.rel] = bt.tuple.ID
 						}
-						rec = out.Key()
+						rec = relation.EncodeRow(out)
 					} else {
 						rec = encodePartial(merged)
 					}

@@ -108,25 +108,16 @@ func (a GenMatrix) Run(ctx *Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		replicated, err = a.countReplicated(ctx, merged)
+		replicated, err = countFlagged(ctx, merged)
 		if err != nil {
 			return nil, err
 		}
 	} else {
 		perCycle, agg, err = ctx.Engine.RunPipeline(
 			mr.Stage{Job: markJob},
-			mr.Stage{Job: mergeJob, Tap: func(rec string) {
-				// Count tuples with a replicate-flagged vertex on the fly
-				// (countReplicated's store scan, without the store).
-				if _, flags, _, err := decodeVector(rec); err == nil {
-					for _, f := range flags {
-						if f {
-							replicated++
-							break
-						}
-					}
-				}
-			}},
+			// Count tuples with a replicate-flagged vertex on the fly
+			// (countFlagged's store scan, without the store).
+			mr.Stage{Job: mergeJob, Tap: flaggedTap(&replicated)},
 			mr.Stage{Job: joinJob},
 		)
 		if err != nil {
@@ -266,19 +257,9 @@ func (GenMatrix) markJob(ctx *Context, opts Options, d *query.Decomposition,
 	reducers := make([]mr.ReduceFunc, len(d.Components))
 	for ci := range d.Components {
 		slices.Sort(relsOfComp[ci])
-		inner := markReducerAttrs(d.SubQueryConds(ci), parts[ci], relsOfComp[ci], attrOfComp[ci])
-		ci := ci
-		reducers[ci] = func(key int64, values []string, write func(string) error) error {
-			// Re-wrap the inner writer so the output records carry the
-			// vertex attribute (needed by the merge cycle).
-			return inner(key, values, func(rec string) error {
-				rel, replicate, t, err := decodeFlagged(rec)
-				if err != nil {
-					return err
-				}
-				return write(encodeVertexFlagged(rel, attrOfComp[ci][rel], replicate, t))
-			})
-		}
+		// The marked records carry the vertex attribute the merge cycle
+		// groups flags by.
+		reducers[ci] = markReducerAttrs(d.SubQueryConds(ci), parts[ci], relsOfComp[ci], attrOfComp[ci])
 	}
 	o := int64(opts.PartitionsPerDim)
 	compOfVertex := d.CompOf
@@ -287,7 +268,7 @@ func (GenMatrix) markJob(ctx *Context, opts Options, d *query.Decomposition,
 		Name:   opts.Scratch + "/mark",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -318,11 +299,11 @@ func (GenMatrix) mergeJob(ctx *Context, opts Options, verts [][]vertexInfo, inpu
 		Name:   opts.Scratch + "/merge",
 		Inputs: []mr.Input{{File: input}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, _, _, t, err := decodeVertexFlagged(record)
+			h, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
-			emit.Emit(t.ID*m+int64(rel), record)
+			emit.Emit(t.ID*m+int64(h.Rel), record)
 			return nil
 		},
 		Reduce: func(key int64, values []string, write func(string) error) error {
@@ -331,29 +312,29 @@ func (GenMatrix) mergeJob(ctx *Context, opts Options, verts [][]vertexInfo, inpu
 			flags := make([]bool, len(vs))
 			var tuple relation.Tuple
 			for i, v := range values {
-				r, attr, replicate, t, err := decodeVertexFlagged(v)
+				h, t, err := relation.DecodeRecord(v)
 				if err != nil {
 					return err
 				}
-				if r != rel {
-					return fmt.Errorf("core: gen-matrix merge: relation mismatch %d vs %d", r, rel)
+				if h.Rel != rel {
+					return fmt.Errorf("core: gen-matrix merge: relation mismatch %d vs %d", h.Rel, rel)
 				}
 				if i == 0 {
 					tuple = t
 				}
 				found := false
 				for vi, info := range vs {
-					if info.attr == attr {
-						flags[vi] = flags[vi] || replicate
+					if info.attr == h.Attr {
+						flags[vi] = flags[vi] || h.Flagged()
 						found = true
 						break
 					}
 				}
 				if !found {
-					return fmt.Errorf("core: gen-matrix merge: unknown vertex attribute %d of relation %d", attr, rel)
+					return fmt.Errorf("core: gen-matrix merge: unknown vertex attribute %d of relation %d", h.Attr, rel)
 				}
 			}
-			return write(encodeVector(rel, flags, tuple))
+			return write(relation.EncodeRecord(relation.Header{Rel: rel, Flags: flags}, tuple))
 		},
 		Output:     output,
 		SortValues: opts.SortValues,
@@ -378,10 +359,11 @@ func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
 	m := len(ctx.Rels)
 
 	mapFn := func(_ int, record string, emit mr.Emitter) error {
-		rel, flags, t, err := decodeVector(record)
+		h, t, err := relation.DecodeRecord(record)
 		if err != nil {
 			return err
 		}
+		rel, flags := h.Rel, h.Flags
 		if len(flags) != len(verts[rel]) {
 			return fmt.Errorf("core: gen-matrix: flag vector arity %d, want %d", len(flags), len(verts[rel]))
 		}
@@ -431,7 +413,7 @@ func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			outErr = write(relation.EncodeRow(out))
 		})
 		if err != nil {
 			return err
@@ -447,33 +429,4 @@ func (GenMatrix) joinJob(ctx *Context, opts Options, d *query.Decomposition,
 		Output:     output,
 		SortValues: opts.SortValues,
 	}, nil
-}
-
-// countReplicated counts tuples with at least one replicate-flagged vertex.
-func (GenMatrix) countReplicated(ctx *Context, merged string) (int64, error) {
-	it, err := ctx.Engine.Store().Open(merged)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	var n int64
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return n, nil
-		}
-		_, flags, _, err := decodeVector(rec)
-		if err != nil {
-			return 0, err
-		}
-		for _, f := range flags {
-			if f {
-				n++
-				break
-			}
-		}
-	}
 }

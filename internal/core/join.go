@@ -243,18 +243,6 @@ func (e *enumerator) kernelHitCounts() (sweep, merge, generic int64) {
 	return e.hitSweep.Load(), e.hitMerge.Load(), e.hitGeneric.Load()
 }
 
-// add decodes one tuple record straight into the arena and appends its ref
-// to the level's candidate list — the zero-copy path reduce functions feed
-// tagged values through.
-func (p *preparedJoin) add(level int, body string) error {
-	ref, err := p.arena.AppendDecode(body)
-	if err != nil {
-		return err
-	}
-	p.raw[level] = append(p.raw[level], ref)
-	return nil
-}
-
 // addTuple copies an in-memory tuple into the arena (the compatibility path
 // for callers that already hold decoded tuples).
 func (p *preparedJoin) addTuple(level int, t relation.Tuple) {
@@ -514,19 +502,15 @@ func (e *enumerator) run(cands [][]relation.Tuple, fn func(asg []relation.Tuple)
 func (e *enumerator) runTagged(values []string, lvl []int, fn func(asg []relation.Tuple)) error {
 	p := e.get()
 	for _, v := range values {
-		rel, body, err := splitTagged(v)
+		h, ref, err := p.arena.AppendRecord(v)
+		if err == nil && (h.Rel >= len(lvl) || lvl[h.Rel] < 0) {
+			err = fmt.Errorf("core: unexpected relation tag %d", h.Rel)
+		}
 		if err != nil {
 			e.put(p)
 			return err
 		}
-		if rel < 0 || rel >= len(lvl) || lvl[rel] < 0 {
-			e.put(p)
-			return fmt.Errorf("core: unexpected relation tag %d in %q", rel, v)
-		}
-		if err := p.add(lvl[rel], body); err != nil {
-			e.put(p)
-			return err
-		}
+		p.raw[lvl[h.Rel]] = append(p.raw[lvl[h.Rel]], ref)
 	}
 	p.seal()
 	p.run(fn)

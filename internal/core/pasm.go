@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
@@ -105,7 +103,7 @@ func (a PASM) Run(ctx *Context) (*Result, error) {
 		}
 		joinJob.Meta = ctx.jobMeta(a.Name(), 3)
 		perCycle, agg, err = ctx.Engine.RunPipeline(
-			mr.Stage{Job: markJob, Tap: replicateFlagTap(&replicated)},
+			mr.Stage{Job: markJob, Tap: flaggedTap(&replicated)},
 			mr.Stage{Job: pJob, Tap: prunedTap(pruned, prunedCounts)},
 			mr.Stage{Job: joinJob},
 		)
@@ -134,27 +132,25 @@ func (a PASM) Run(ctx *Context) (*Result, error) {
 // impossible by construction (the tap sees exactly what the prune reducer
 // wrote) and are ignored.
 func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
-	return func(rec string) {
-		comma := strings.IndexByte(rec, ',')
-		if comma < 0 {
-			return
-		}
-		rel, err := strconv.Atoi(rec[:comma])
-		if err != nil || rel < 0 || rel >= len(pruned) {
-			return
-		}
-		id, err := strconv.ParseInt(rec[comma+1:], 10, 64)
-		if err != nil {
-			return
-		}
-		if pruned[rel] == nil {
-			pruned[rel] = make(map[int64]bool)
-		}
-		if !pruned[rel][id] {
-			pruned[rel][id] = true
-			counts[rel]++
-		}
+	return func(rec string) { addPruned(pruned, counts, rec) }
+}
+
+// addPruned records one (rel, id) prune row in the id sets, reporting
+// whether rec was a well-formed prune row.
+func addPruned(pruned []map[int64]bool, counts map[int]int64, rec string) bool {
+	row, err := relation.DecodeRow(rec)
+	if err != nil || len(row) != 2 || row[0] < 0 || row[0] >= int64(len(pruned)) {
+		return false
 	}
+	rel, id := int(row[0]), row[1]
+	if pruned[rel] == nil {
+		pruned[rel] = make(map[int64]bool)
+	}
+	if !pruned[rel][id] {
+		pruned[rel][id] = true
+		counts[rel]++
+	}
+	return true
 }
 
 // pruneJob builds PASM's cycle 2. Key space: component*o + partition. Each
@@ -162,7 +158,7 @@ func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
 // would route them in one dimension, and decides for every tuple whose home
 // partition this is whether it participates in any output of the
 // component's colocation sub-query. Non-participating tuples are published
-// as "rel,id" prune records.
+// as (rel, id) prune rows.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
@@ -250,7 +246,7 @@ func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
 				if replicatedHome[h] || kept[h] {
 					continue
 				}
-				if err := write(strconv.Itoa(h.rel) + "," + strconv.FormatInt(h.id, 10)); err != nil {
+				if err := write(relation.EncodeRow([]int64{int64(h.rel), h.id})); err != nil {
 					return err
 				}
 			}
@@ -266,37 +262,11 @@ func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
 func loadPruned(ctx *Context, file string, m int) ([]map[int64]bool, map[int]int64, error) {
 	pruned := make([]map[int64]bool, m)
 	counts := make(map[int]int64)
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
+	err := forEachRecord(ctx, file, func(rec string) error {
+		if !addPruned(pruned, counts, rec) {
+			return fmt.Errorf("core: malformed prune record %q", rec)
 		}
-		if !ok {
-			return pruned, counts, nil
-		}
-		comma := strings.IndexByte(rec, ',')
-		if comma < 0 {
-			return nil, nil, fmt.Errorf("core: malformed prune record %q", rec)
-		}
-		rel, err := strconv.Atoi(rec[:comma])
-		if err != nil || rel < 0 || rel >= m {
-			return nil, nil, fmt.Errorf("core: bad relation in prune record %q", rec)
-		}
-		id, err := strconv.ParseInt(rec[comma+1:], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad id in prune record %q", rec)
-		}
-		if pruned[rel] == nil {
-			pruned[rel] = make(map[int64]bool)
-		}
-		if !pruned[rel][id] {
-			pruned[rel][id] = true
-			counts[rel]++
-		}
-	}
+		return nil
+	})
+	return pruned, counts, err
 }

@@ -55,7 +55,7 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 		Name:   opts.Scratch + "/mark",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -73,16 +73,16 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 		Name:   opts.Scratch + "/join",
 		Inputs: []mr.Input{{File: marked}},
 		Map: func(_ int, record string, emit mr.Emitter) error {
-			rel, replicate, t, err := decodeFlagged(record)
+			h, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
 			op := interval.OpProject
-			if replicate {
+			if h.Flagged() {
 				op = interval.OpReplicate
 			}
 			first, last := part.Apply(op, t.Key())
-			plan.emitRange(emit, first, last, rel, encodeTagged(rel, t))
+			plan.emitRange(emit, first, last, h.Rel, encodeTagged(h.Rel, t))
 			return nil
 		},
 		Resplit:    resplitValues(m, streamOfTagged),
@@ -113,33 +113,6 @@ func allRelations(m int) []int {
 	return rels
 }
 
-// countFlagged counts the replicate-flagged records of a marking output —
-// the paper's "# Intervals Replicated" statistic.
-func countFlagged(ctx *Context, file string) (int64, error) {
-	it, err := ctx.Engine.Store().Open(file)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	var n int64
-	for {
-		rec, ok, err := it.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return n, nil
-		}
-		_, replicate, _, err := decodeFlagged(rec)
-		if err != nil {
-			return 0, err
-		}
-		if replicate {
-			n++
-		}
-	}
-}
-
 // markReducer builds the RCCIS cycle-1 reduce function for the given
 // condition set and relation subset (the hybrid algorithms reuse it per
 // colocation component). The reducer receives all tuples split onto its
@@ -166,34 +139,26 @@ func markReducerAttrs(conds []query.Condition, part interval.Partitioning, rels 
 	return func(key int64, values []string, write func(string) error) error {
 		p := int(key)
 		// Decode through a per-call arena: one flat interval column for the
-		// whole candidate list instead of one Attrs slice per record. The
-		// raw bodies ride along so survivors are re-emitted by splicing the
-		// flag in (encodeFlaggedBody) — byte-identical to re-encoding, with
-		// no per-endpoint formatting.
+		// whole candidate list instead of one Attrs slice per record.
 		var arena relation.Arena
 		cands := make(map[int][]relation.Tuple, len(rels))
-		bodies := make(map[int][]string, len(rels))
 		for _, v := range values {
-			rel, body, err := splitTagged(v)
+			h, ref, err := arena.AppendRecord(v)
 			if err != nil {
 				return err
 			}
-			ref, err := arena.AppendDecode(body)
-			if err != nil {
-				return err
-			}
-			cands[rel] = append(cands[rel], arena.Tuple(ref))
-			bodies[rel] = append(bodies[rel], body)
+			cands[h.Rel] = append(cands[h.Rel], arena.Tuple(ref))
 		}
 		replicate := markCrossingParticipants(conds, part, p, rels, attrOf, cands)
-		// Write every tuple that starts in this partition, flagged.
+		// Write every tuple that starts in this partition, flagged for its
+		// (relation, attribute) vertex.
 		for _, rel := range rels {
 			attr := attrOf[rel]
-			for i, t := range cands[rel] {
+			for _, t := range cands[rel] {
 				if part.IndexOf(t.Attrs[attr].Start) != p {
 					continue
 				}
-				if err := write(encodeFlaggedBody(rel, replicate[rel][t.ID], bodies[rel][i])); err != nil {
+				if err := write(encodeFlagged(rel, attr, replicate[rel][t.ID], t)); err != nil {
 					return err
 				}
 			}

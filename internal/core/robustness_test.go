@@ -86,19 +86,8 @@ func TestAlgorithmsUnderSpillAndRetry(t *testing.T) {
 			if got.Metrics.TaskRetries == 0 {
 				t.Errorf("%s on %q: injector never triggered a retry", alg.Name(), tc.qs)
 			}
-			gw, ww := got.TupleSet(), want.TupleSet()
-			if len(got.Tuples) != len(gw) {
-				t.Errorf("%s on %q: duplicates under retry", alg.Name(), tc.qs)
-			}
-			if len(gw) != len(ww) {
-				t.Errorf("%s on %q: %d tuples, oracle %d", alg.Name(), tc.qs, len(gw), len(ww))
-				continue
-			}
-			for k := range ww {
-				if _, ok := gw[k]; !ok {
-					t.Errorf("%s on %q: missing tuple %s", alg.Name(), tc.qs, k)
-					break
-				}
+			if err := DiffRows(got.Tuples, want.Tuples); err != nil {
+				t.Errorf("%s on %q under retry: %v", alg.Name(), tc.qs, err)
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func componentMarkJob(ctx *Context, opts Options, part interval.Partitioning,
 		Name:   opts.Scratch + "/mark",
 		Inputs: inputs,
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -197,7 +197,7 @@ func componentJoinJob(ctx *Context, opts Options, part interval.Partitioning,
 			for i, t := range asg {
 				out[i] = t.ID
 			}
-			outErr = write(out.Key())
+			outErr = write(relation.EncodeRow(out))
 		})
 		if err != nil {
 			return err

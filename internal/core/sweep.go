@@ -16,9 +16,10 @@ package core
 // into a conjunction of closed ranges on the candidate's endpoints
 // (condWindows): sLo <= cand.Start <= sHi and eLo <= cand.End <= eHi, with
 // missing edges at the int64 infinities. Exactness (for valid intervals,
-// Start <= End — guaranteed by the codecs, which reject inverted
-// intervals) means the specialized loops never evaluate the predicate per
-// pair; multi-attribute levels keep the generic Eval path (join.go).
+// Start <= End — guaranteed by the record format, which stores each end as
+// a non-negative length) means the specialized loops never evaluate the
+// predicate per pair; multi-attribute levels keep the generic Eval path
+// (join.go).
 //
 // The per-partner window starts are precomputed by one endpoint sweep
 // (sweepFromsInto): startRange-style lower bounds are monotone in the

@@ -62,7 +62,7 @@ func (tw TwoWay) Run(ctx *Context) (*Result, error) {
 			ctx.relInput(1, 1),
 		},
 		Map: func(tag int, record string, emit mr.Emitter) error {
-			t, err := relation.DecodeTuple(record)
+			_, t, err := relation.DecodeRecord(record)
 			if err != nil {
 				return err
 			}
@@ -82,7 +82,7 @@ func (tw TwoWay) Run(ctx *Context) (*Result, error) {
 				out := make(OutputTuple, 2)
 				out[cond.Left.Rel] = asg[0].ID
 				out[cond.Right.Rel] = asg[1].ID
-				outErr = write(out.Key())
+				outErr = write(relation.EncodeRow(out))
 			})
 			if err != nil {
 				return err

@@ -1,14 +1,16 @@
 // Package dfs provides the small distributed-file-system abstraction the
 // MapReduce engine stores its inputs, intermediate cycle outputs and final
 // results on. It plays the role HDFS plays for Hadoop in the paper: named
-// files of line-oriented records. Two backends are provided: an in-memory
+// files of byte-string records, any bytes allowed. Two backends are provided: an in-memory
 // store (fast, used by tests and benchmarks) and an on-disk store (used by
 // the CLIs so runs survive the process and large inputs spill out of RAM).
 package dfs
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,7 +21,7 @@ import (
 // Writer appends records to a file. Writers are not safe for concurrent use;
 // the MR engine serialises writes per output file.
 type Writer interface {
-	// Write appends one record. Records must not contain '\n'.
+	// Write appends one record.
 	Write(record string) error
 	// Close flushes and publishes the file. A file is not readable until
 	// its writer is closed.
@@ -109,9 +111,6 @@ type memWriter struct {
 func (w *memWriter) Write(record string) error {
 	if w.closed {
 		return fmt.Errorf("dfs: write to closed file %s", w.name)
-	}
-	if strings.ContainsRune(record, '\n') {
-		return fmt.Errorf("dfs: record for %s contains newline", w.name)
 	}
 	w.buf = append(w.buf, record)
 	return nil
@@ -246,13 +245,12 @@ func (w *diskWriter) Write(record string) error {
 	if w.closed {
 		return fmt.Errorf("dfs: write to closed file %s", w.final)
 	}
-	if strings.ContainsRune(record, '\n') {
-		return fmt.Errorf("dfs: record contains newline")
-	}
-	if _, err := w.bw.WriteString(record); err != nil {
+	var frame [binary.MaxVarintLen64]byte
+	if _, err := w.bw.Write(binary.AppendUvarint(frame[:0], uint64(len(record)))); err != nil {
 		return err
 	}
-	return w.bw.WriteByte('\n')
+	_, err := w.bw.WriteString(record)
+	return err
 }
 
 func (w *diskWriter) Close() error {
@@ -289,19 +287,36 @@ func (d *Disk) Create(name string) (Writer, error) {
 	return &diskWriter{f: f, tmp: tmp, final: p, bw: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
+// maxRecord bounds a frame's length prefix, so a corrupt file fails with an
+// error instead of an outsized allocation.
+const maxRecord = 1 << 24
+
+// diskIterator reads the uvarint length-prefixed frames diskWriter writes.
+// A file cut inside a frame is an error, never a short record.
 type diskIterator struct {
-	f  *os.File
-	sc *bufio.Scanner
+	f    *os.File
+	br   *bufio.Reader
+	name string
 }
 
 func (it *diskIterator) Next() (string, bool, error) {
-	if it.sc.Scan() {
-		return it.sc.Text(), true, nil
+	n, err := binary.ReadUvarint(it.br)
+	if err == io.EOF {
+		return "", false, nil
 	}
-	if err := it.sc.Err(); err != nil {
-		return "", false, err
+	if err == nil && n > maxRecord {
+		err = fmt.Errorf("frame of %d bytes exceeds %d", n, maxRecord)
 	}
-	return "", false, nil
+	if err == nil {
+		buf := make([]byte, n)
+		if _, err = io.ReadFull(it.br, buf); err == nil {
+			return string(buf), true, nil
+		}
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return "", false, fmt.Errorf("dfs: read %s: %w", it.name, err)
 }
 
 func (it *diskIterator) Close() error { return it.f.Close() }
@@ -316,9 +331,7 @@ func (d *Disk) Open(name string) (Iterator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open %s: %w", name, err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	return &diskIterator{f: f, sc: sc}, nil
+	return &diskIterator{f: f, br: bufio.NewReaderSize(f, 1<<16), name: name}, nil
 }
 
 // List implements Store.

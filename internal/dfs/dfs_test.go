@@ -2,6 +2,9 @@ package dfs
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -56,18 +59,51 @@ func TestEmptyRecordPreserved(t *testing.T) {
 	}
 }
 
-func TestNewlineRejected(t *testing.T) {
+// TestByteCleanRoundTrip checks both backends store records as opaque
+// bytes: newlines, carriage returns, NULs, 0xFF and the empty record all
+// come back unchanged and in order.
+func TestByteCleanRoundTrip(t *testing.T) {
+	recs := []string{"a\nb", "\r", "\x00", "\xff\xfe", "", "\n\n\x00\xff", "plain"}
 	for backend, s := range stores(t) {
 		t.Run(backend, func(t *testing.T) {
-			w, err := s.Create("f")
+			if err := WriteAll(s, "f", recs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAll(s, "f")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Write("bad\nrecord"); err == nil {
-				t.Error("newline record accepted")
+			if !slices.Equal(got, recs) {
+				t.Fatalf("round trip = %q, want %q", got, recs)
 			}
-			w.Close()
 		})
+	}
+}
+
+// TestDiskTruncatedFrame cuts a Disk file inside its last frame: Next must
+// report an error, not return a short record.
+func TestDiskTruncatedFrame(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAll(d, "f", []string{"first", "second record"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "f")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int64{1, 4, 13} {
+		if err := os.Truncate(path, info.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(d, "f")
+		if err == nil {
+			t.Fatalf("cut %d bytes: read %q without error", cut, got)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func execute(cfg Config, alg core.Algorithm, q *query.Query, rels []*relation.Re
 		if err != nil {
 			return Run{}, err
 		}
-		if err := sameOutput(res, want); err != nil {
+		if err := core.DiffRows(res.Tuples, want.Tuples); err != nil {
 			return Run{}, fmt.Errorf("exp: %s: %w", alg.Name(), err)
 		}
 	}
@@ -235,22 +235,6 @@ func scaleMetrics(m *mr.Metrics, f float64) *mr.Metrics {
 		out.ReducerPairs[k] = int64(float64(v) * f)
 	}
 	return out
-}
-
-func sameOutput(got, want *core.Result) error {
-	g, w := got.TupleSet(), want.TupleSet()
-	if len(got.Tuples) != len(g) {
-		return fmt.Errorf("emitted %d tuples, %d distinct (duplicates)", len(got.Tuples), len(g))
-	}
-	if len(g) != len(w) {
-		return fmt.Errorf("output has %d tuples, oracle %d", len(g), len(w))
-	}
-	for k := range w {
-		if _, ok := g[k]; !ok {
-			return fmt.Errorf("missing output tuple %s", k)
-		}
-	}
-	return nil
 }
 
 // fmtCount renders large counts compactly (12.3K, 4.5M).

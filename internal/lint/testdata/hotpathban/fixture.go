@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // sortBanned uses closure-driven sort.Slice in the hot path: flagged.
@@ -24,6 +25,14 @@ func sprintfBanned(n int) string {
 // deepEqualBanned compares with reflection: flagged.
 func deepEqualBanned(a, b []int) bool {
 	return reflect.DeepEqual(a, b) // want `reflect\.DeepEqual is banned in hot-path package`
+}
+
+// textParseBanned parses a text record field by field: flagged.
+func textParseBanned(rec string) (int64, int) {
+	fields := strings.Split(rec, "|")            // want `strings\.Split is banned in hot-path package`
+	id, _ := strconv.ParseInt(fields[0], 10, 64) // want `strconv\.ParseInt is banned in hot-path package`
+	rel, _ := strconv.Atoi(fields[1])            // want `strconv\.Atoi is banned in hot-path package`
+	return id, rel
 }
 
 // suppressed demonstrates the escape hatch; the reason is mandatory.
@@ -43,4 +52,4 @@ func errorsAllowed(n int) error {
 	return fmt.Errorf("bad n: %d", n)
 }
 
-var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, suppressed, compliant, errorsAllowed}
+var _ = []any{sortBanned, sprintfBanned, deepEqualBanned, textParseBanned, suppressed, compliant, errorsAllowed}

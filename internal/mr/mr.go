@@ -7,9 +7,10 @@
 // node per key as on a real cluster.
 //
 // Keys are int64 reducer ids: the paper's partition-intervals and grid cells
-// map directly onto them. Values are strings (line records), so every
-// intermediate result can spill to the dfs.Store between cycles just as
-// Hadoop materialises cycle boundaries on HDFS.
+// map directly onto them. Values are byte-string records (the algorithms use
+// the binary format of internal/relation/record.go), so every intermediate
+// result can spill to the dfs.Store between cycles just as Hadoop
+// materialises cycle boundaries on HDFS.
 //
 // Three Hadoop behaviours are modelled beyond the basic phases: map tasks
 // are record batches that are retried on transient failures (as Hadoop

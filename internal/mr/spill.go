@@ -3,11 +3,13 @@ package mr
 import (
 	"cmp"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 
 	"intervaljoin/internal/dfs"
+	"intervaljoin/internal/relation"
 )
 
 // External shuffle support: when a job's intermediate data exceeds the
@@ -41,90 +43,33 @@ func (p emission) physBytes() int64 {
 	return int64(len(p.value)) + 8
 }
 
-// Spill records are length-prefixed. A plain pair is one byte 'A'+len(digits),
-// the key's decimal digits, then the value — the reader slices the key out by
-// offset instead of scanning every record for a separator byte. A range
-// emission marks itself with a lowercase prefix: 'a'+len(loDigits), the lo
-// digits, then 'A'+len(hiDigits), the hi digits, then the value — the value
-// is written once no matter how many keys the range covers. An int64 key has
-// at most 19 digits, so both prefixes stay printable.
+// A spill record is the emission's lo key and its span past lo (zero for a
+// plain pair) as uvarints, then the value — written once no matter how many
+// keys a range covers. Keys are non-negative (spillRun enforces it).
 
-// appendSpillRecord encodes p onto buf in the spill record format. Keys are
-// expected non-negative (spillRun enforces it); hi == lo emissions encode as
-// point records, so every emission has exactly one encoding.
+// appendSpillRecord encodes p onto buf in the spill record format.
 func appendSpillRecord(buf []byte, p emission) []byte {
-	base := len(buf)
-	if p.isRange() {
-		buf = append(buf, 0)
-		buf = strconv.AppendInt(buf, p.lo, 10)
-		buf[base] = 'a' + byte(len(buf)-base-1)
-		mark := len(buf)
-		buf = append(buf, 0)
-		buf = strconv.AppendInt(buf, p.hi, 10)
-		buf[mark] = 'A' + byte(len(buf)-mark-1)
-	} else {
-		buf = append(buf, 0)
-		buf = strconv.AppendInt(buf, p.lo, 10)
-		buf[base] = 'A' + byte(len(buf)-base-1)
-	}
+	buf = binary.AppendUvarint(buf, uint64(p.lo))
+	buf = binary.AppendUvarint(buf, uint64(p.hi-p.lo))
 	return append(buf, p.value...)
 }
 
 // parseSpillRecord decodes one spill record. It accepts exactly the writer's
-// output: anything appendSpillRecord cannot produce — short records, bad
-// prefixes, signed or zero-padded digits, negative keys, range records whose
-// hi does not exceed lo — is an error, so a successful parse re-encodes to
-// the identical bytes.
+// output: truncated or non-minimal varints and keys past MaxInt64 are
+// errors, so a successful parse re-encodes to the identical bytes.
 func parseSpillRecord(rec string) (emission, error) {
-	if len(rec) < 2 {
-		return emission{}, fmt.Errorf("mr: malformed spill record %q", rec)
-	}
-	if rec[0] >= 'a' {
-		// Range record: lowercase lo prefix, then uppercase hi prefix.
-		nd := int(rec[0] - 'a')
-		if nd < 1 || nd+1 >= len(rec) {
-			return emission{}, fmt.Errorf("mr: malformed spill record %q", rec)
-		}
-		lo, err := parseSpillKey(rec[1:1+nd], rec)
-		if err != nil {
-			return emission{}, err
-		}
-		rest := rec[1+nd:]
-		hd := int(rest[0] - 'A')
-		if hd < 1 || hd > len(rest)-1 {
-			return emission{}, fmt.Errorf("mr: malformed spill record %q", rec)
-		}
-		hi, err := parseSpillKey(rest[1:1+hd], rec)
-		if err != nil {
-			return emission{}, err
-		}
-		if hi <= lo {
-			return emission{}, fmt.Errorf("mr: spill range record %q has hi <= lo", rec)
-		}
-		return emission{lo: lo, hi: hi, value: rest[1+hd:]}, nil
-	}
-	nd := int(rec[0] - 'A')
-	if nd < 1 || nd > len(rec)-1 {
-		return emission{}, fmt.Errorf("mr: malformed spill record %q", rec)
-	}
-	key, err := parseSpillKey(rec[1:1+nd], rec)
+	lo, rest, err := relation.CutUvarint(rec)
 	if err != nil {
-		return emission{}, err
+		return emission{}, fmt.Errorf("mr: malformed spill record %q: %v", rec, err)
 	}
-	return emission{lo: key, hi: key, value: rec[1+nd:]}, nil
-}
-
-// parseSpillKey parses one key's decimal digits, insisting on the writer's
-// canonical form: non-negative, unsigned, no leading zeros.
-func parseSpillKey(digits, rec string) (int64, error) {
-	v, err := strconv.ParseInt(digits, 10, 64)
+	span, rest, err := relation.CutUvarint(rest)
 	if err != nil {
-		return 0, fmt.Errorf("mr: malformed spill key in %q: %v", rec, err)
+		return emission{}, fmt.Errorf("mr: malformed spill record %q: %v", rec, err)
 	}
-	if v < 0 || strconv.FormatInt(v, 10) != digits {
-		return 0, fmt.Errorf("mr: non-canonical spill key %q in %q", digits, rec)
+	if lo > math.MaxInt64 || span > math.MaxInt64-lo {
+		return emission{}, fmt.Errorf("mr: spill record %q keys out of range", rec)
 	}
-	return v, nil
+	return emission{lo: int64(lo), hi: int64(lo + span), value: rest}, nil
 }
 
 // spillRun writes emissions (sorted by lo, then hi) as one run file. Spilled

@@ -46,13 +46,13 @@ func FuzzSpillRecordParse(f *testing.F) {
 	for _, seed := range []string{
 		string(appendSpillRecord(nil, emission{lo: 7, hi: 7, value: "v"})),
 		string(appendSpillRecord(nil, emission{lo: 3, hi: 9, value: "shared"})),
-		"B42hello", // point record, key 4, value "2hello"
-		"b3B9v",    // range record, [3, 9]
-		"b9B3v",    // inverted range: must be rejected
-		"b3B3v",    // degenerate range: writer uses a point record instead
-		"C-1x",     // signed key digits: must be rejected
-		"B07x",     // zero-padded key digits: must be rejected
-		"A",        // zero-length digit run
+		"\x04\x00hello", // point record, key 4
+		"\x03\x06v",     // range record, [3, 9]
+		"\x83\x00\x06v", // non-minimal lo varint: must be rejected
+		"\x03\x80\x00v", // non-minimal span varint: must be rejected
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00", // lo past MaxInt64
+		"\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f",     // hi past MaxInt64
+		"\x80", // truncated varint
 		"",
 		"zzz",
 		"\x00\x00",

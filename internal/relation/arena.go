@@ -2,8 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"intervaljoin/internal/interval"
 )
@@ -50,97 +48,6 @@ func (a *Arena) Append(t Tuple) int32 {
 	a.flat = append(a.flat, t.Attrs...)
 	a.base = append(a.base, int32(len(a.flat)))
 	return int32(len(a.ids) - 1)
-}
-
-// AppendDecode parses one EncodeTuple record ("id|s,e|s,e|...") directly
-// into the arena — the zero-copy counterpart of DecodeTuple, accepting and
-// rejecting exactly the same inputs. On error the arena is unchanged.
-func (a *Arena) AppendDecode(s string) (int32, error) {
-	sep := strings.IndexByte(s, '|')
-	if sep < 0 {
-		return 0, fmt.Errorf("relation: malformed tuple record %q", s)
-	}
-	id, err := strconv.ParseInt(s[:sep], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("relation: bad tuple id in %q: %v", s, err)
-	}
-	a.initBase()
-	flat0 := len(a.flat)
-	rest := s[sep+1:]
-	for i := 0; ; i++ {
-		field := rest
-		last := true
-		if j := strings.IndexByte(rest, '|'); j >= 0 {
-			field, rest = rest[:j], rest[j+1:]
-			last = false
-		}
-		iv, ok := parseIntervalFast(field)
-		if !ok {
-			var err error
-			iv, err = interval.Parse(field)
-			if err != nil {
-				a.flat = a.flat[:flat0]
-				return 0, fmt.Errorf("relation: bad attribute %d in %q: %v", i, s, err)
-			}
-		}
-		a.flat = append(a.flat, iv)
-		if last {
-			break
-		}
-	}
-	a.ids = append(a.ids, id)
-	a.base = append(a.base, int32(len(a.flat)))
-	return int32(len(a.ids) - 1), nil
-}
-
-// parseIntervalFast parses the canonical "start,end" field form — plain
-// decimal digits with an optional leading minus, no whitespace, no
-// brackets — exactly as interval.Parse would, without its normalisation
-// passes. Any other shape (including start > end, so the validation error
-// keeps Parse's wording) reports ok=false and the caller falls back to
-// interval.Parse, which accepts a superset and agrees on every string the
-// fast path accepts.
-func parseIntervalFast(field string) (interval.Interval, bool) {
-	c := strings.IndexByte(field, ',')
-	if c < 0 {
-		return interval.Interval{}, false
-	}
-	start, ok := parseInt64Fast(field[:c])
-	if !ok {
-		return interval.Interval{}, false
-	}
-	end, ok := parseInt64Fast(field[c+1:])
-	if !ok || start > end {
-		return interval.Interval{}, false
-	}
-	return interval.Interval{Start: start, End: end}, true
-}
-
-// parseInt64Fast parses an optionally negated run of at most 18 decimal
-// digits — short enough that the accumulator cannot overflow int64. Longer
-// or non-canonical numerals (a leading '+', stray bytes) return ok=false
-// so strconv.ParseInt decides them.
-func parseInt64Fast(s string) (int64, bool) {
-	neg := false
-	if len(s) > 0 && s[0] == '-' {
-		neg = true
-		s = s[1:]
-	}
-	if len(s) == 0 || len(s) > 18 {
-		return 0, false
-	}
-	var v int64
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		v = v*10 + int64(d)
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }
 
 // ID returns the stored tuple id.

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"strings"
 	"testing"
 
 	"intervaljoin/internal/interval"
@@ -78,55 +77,15 @@ func TestArenaAttrPanicsOutOfRange(t *testing.T) {
 	a.Attr(r, 1)
 }
 
-func TestArenaAppendDecodeMatchesDecodeTuple(t *testing.T) {
-	cases := []string{
-		"0|1,5",
-		"42|1,5|7,7|-3,9",
-		"-1|0,0",
-		"9223372036854775807|0,1",
-		"7|[1,5]|[ 2 , 3 ]",
-		"",
-		"|",
-		"9|5,1",
-		"9|a,b",
-		"1|0,1|",
-		"x|0,1",
-		"5",
-	}
-	for _, s := range cases {
-		var a Arena
-		ref, aerr := a.AppendDecode(s)
-		tup, derr := DecodeTuple(s)
-		if (aerr == nil) != (derr == nil) {
-			t.Fatalf("AppendDecode(%q) err=%v but DecodeTuple err=%v", s, aerr, derr)
-		}
-		if derr != nil {
-			if aerr.Error() != derr.Error() {
-				t.Errorf("AppendDecode(%q) error %q, DecodeTuple error %q", s, aerr, derr)
-			}
-			if a.Len() != 0 {
-				t.Errorf("AppendDecode(%q) failed but left %d tuples in arena", s, a.Len())
-			}
-			continue
-		}
-		got := a.Tuple(ref)
-		if got.ID != tup.ID || len(got.Attrs) != len(tup.Attrs) {
-			t.Fatalf("AppendDecode(%q) = %+v, DecodeTuple = %+v", s, got, tup)
-		}
-		for i := range tup.Attrs {
-			if got.Attrs[i] != tup.Attrs[i] {
-				t.Fatalf("AppendDecode(%q) attr %d = %v, want %v", s, i, got.Attrs[i], tup.Attrs[i])
-			}
-		}
-	}
-}
-
-func TestArenaAppendDecodeErrorLeavesArenaIntact(t *testing.T) {
+func TestArenaAppendRecordErrorLeavesArenaIntact(t *testing.T) {
 	var a Arena
-	if _, err := a.AppendDecode("1|2,4"); err != nil {
+	if _, _, err := a.AppendRecord(EncodeRecord(Header{}, Tuple{ID: 1, Attrs: []interval.Interval{{Start: 2, End: 4}}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AppendDecode("2|3,5|bad"); err == nil {
+	// A two-attribute record cut inside its second attribute: the first
+	// attribute decodes before the error and must be rolled back.
+	bad := EncodeRecord(Header{}, Tuple{ID: 2, Attrs: []interval.Interval{{Start: 3, End: 5}, {Start: 1000, End: 5000}}})
+	if _, _, err := a.AppendRecord(bad[:len(bad)-1]); err == nil {
 		t.Fatal("want decode error")
 	}
 	if a.Len() != 1 {
@@ -139,68 +98,4 @@ func TestArenaAppendDecodeErrorLeavesArenaIntact(t *testing.T) {
 	if a.Attr(0, 0) != (interval.Interval{Start: 2, End: 4}) {
 		t.Fatalf("first tuple corrupted: %v", a.Attr(0, 0))
 	}
-}
-
-// FuzzArenaDecode differentially checks the arena's zero-copy decoder
-// against the reference tuple codec: same accept/reject decision, same
-// error text, identical decoded contents, and a clean re-encode round trip.
-func FuzzArenaDecode(f *testing.F) {
-	for _, seed := range []string{
-		"0|1,5",
-		"42|1,5|7,7|-3,9",
-		"",
-		"|",
-		"9|5,1",
-		"9|a,b",
-		"-1|0,0",
-		"9223372036854775807|0,1",
-		"1|0,1|",
-		"7|[1,5]|[ 2 , 3 ]",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		if strings.Count(input, "|") > 64 {
-			return
-		}
-		var a Arena
-		// Pre-populate so a failed decode must truncate, not just reset.
-		pre, err := a.AppendDecode("11|3,9")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, aerr := a.AppendDecode(input)
-		tup, derr := DecodeTuple(input)
-		if (aerr == nil) != (derr == nil) {
-			t.Fatalf("AppendDecode(%q) err=%v, DecodeTuple err=%v", input, aerr, derr)
-		}
-		if derr != nil {
-			if aerr.Error() != derr.Error() {
-				t.Fatalf("error text diverged for %q: arena %q, codec %q", input, aerr, derr)
-			}
-			if a.Len() != 1 {
-				t.Fatalf("failed decode of %q left arena at Len=%d", input, a.Len())
-			}
-		} else {
-			got := a.Tuple(ref)
-			if got.ID != tup.ID || len(got.Attrs) != len(tup.Attrs) {
-				t.Fatalf("decode of %q diverged: arena %+v, codec %+v", input, got, tup)
-			}
-			for i := range tup.Attrs {
-				if got.Attrs[i] != tup.Attrs[i] {
-					t.Fatalf("attr %d of %q diverged: %v vs %v", i, input, got.Attrs[i], tup.Attrs[i])
-				}
-			}
-			back, err := DecodeTuple(EncodeTuple(got))
-			if err != nil {
-				t.Fatalf("re-decode of arena tuple from %q failed: %v", input, err)
-			}
-			if back.ID != tup.ID {
-				t.Fatalf("round trip changed id: %d vs %d", back.ID, tup.ID)
-			}
-		}
-		if a.ID(pre) != 11 || a.Attr(pre, 0) != (interval.Interval{Start: 3, End: 9}) {
-			t.Fatalf("decode of %q corrupted earlier arena contents", input)
-		}
-	})
 }

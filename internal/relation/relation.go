@@ -9,8 +9,6 @@ package relation
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"intervaljoin/internal/interval"
 )
@@ -130,48 +128,6 @@ func (r *Relation) Validate() error {
 		seen[t.ID] = struct{}{}
 	}
 	return nil
-}
-
-// EncodeTuple serialises a tuple to the line format used on the distributed
-// file store: "id|s,e|s,e|...". The relation name is carried by the file,
-// not the record.
-func EncodeTuple(t Tuple) string {
-	return string(AppendTuple(make([]byte, 0, 16+24*len(t.Attrs)), t))
-}
-
-// AppendTuple appends EncodeTuple's form to dst and returns the extended
-// slice — the allocation-free building block for the record codecs, which
-// compose it with tags and flags in one buffer.
-func AppendTuple(dst []byte, t Tuple) []byte {
-	dst = strconv.AppendInt(dst, t.ID, 10)
-	for _, iv := range t.Attrs {
-		dst = append(dst, '|')
-		dst = strconv.AppendInt(dst, iv.Start, 10)
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, iv.End, 10)
-	}
-	return dst
-}
-
-// DecodeTuple parses the format produced by EncodeTuple.
-func DecodeTuple(s string) (Tuple, error) {
-	fields := strings.Split(s, "|")
-	if len(fields) < 2 {
-		return Tuple{}, fmt.Errorf("relation: malformed tuple record %q", s)
-	}
-	id, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("relation: bad tuple id in %q: %v", s, err)
-	}
-	attrs := make([]interval.Interval, len(fields)-1)
-	for i, f := range fields[1:] {
-		iv, err := interval.Parse(f)
-		if err != nil {
-			return Tuple{}, fmt.Errorf("relation: bad attribute %d in %q: %v", i, s, err)
-		}
-		attrs[i] = iv
-	}
-	return Tuple{ID: id, Attrs: attrs}, nil
 }
 
 // Bounds returns the minimal half-open range [t0, tn) covering every
