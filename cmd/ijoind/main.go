@@ -1,8 +1,8 @@
 // Command ijoind is the long-running interval-join service: it holds
-// resident, pre-staged relations on the engine's store and answers
-// windowed join queries over an HTTP/JSON API, serving covered time spans
-// from a semantic segment cache and running the join engine only over the
-// uncovered delta windows (see docs/SERVICE.md).
+// resident relations as in-memory indexes and answers windowed join
+// queries over an HTTP/JSON API, serving covered time spans from a
+// semantic segment cache and running the join engine only over the
+// tuples the uncovered delta windows can reach (see docs/SERVICE.md).
 //
 // Serve mode:
 //
@@ -96,7 +96,7 @@ func main() {
 		partitions = flag.Int("partitions", 16, "partitions for 1-D algorithms")
 		perDim     = flag.Int("per-dim", 6, "partitions per grid dimension for matrix algorithms")
 		algorithm  = flag.String("algorithm", "", "join algorithm (default: planner choice per query)")
-		dataDir    = flag.String("data-dir", "", "store relations and intermediates on disk under this directory")
+		dataDir    = flag.String("data-dir", "", "store delta runs' staged slices and intermediates on disk under this directory")
 		metricsOut = flag.String("metrics", "", "write metrics.json (with the cache section) here on shutdown / after -bench")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		slowQuery  = flag.Duration("slow-query", 2*time.Second, "log queries slower than this as slow (0 disables)")

@@ -55,24 +55,72 @@ type Window struct {
 // Span is the window's closed length.
 func (w Window) Span() int64 { return int64(w.Hi-w.Lo) + 1 }
 
-// Row is one cached join result row: the output tuple plus its anchor
-// interval (the first attribute of the first relation's tuple), kept so a
-// later query can clip the segment to its own window.
+// Row is one join result row on its way into a segment: the output tuple
+// plus its anchor interval (the first attribute of the first relation's
+// tuple), kept so a later query can clip the segment to its own window.
 type Row struct {
 	IDs    core.OutputTuple
 	Anchor interval.Interval
 }
 
 // Segment is one cached result range: every row whose anchor intersects
-// Win. Segments are immutable after insertion, so lookups may share them
+// Win, stored flat in canonical order. Row i's ids are
+// ids[i*arity:(i+1)*arity] and its anchor is anchors[i], so clipping and
+// merging walk contiguous memory instead of one allocation per row.
+// Segments are immutable after insertion, so lookups may share them
 // outside the cache lock.
 type Segment struct {
-	Key  Key
-	Win  Window
-	Rows []Row
+	Key Key
+	Win Window
+
+	arity   int
+	ids     []int64
+	anchors []interval.Interval
 
 	bytes int64
 	elem  *list.Element
+}
+
+// newSegment flattens rows, sorted canonically, into a segment for the
+// window. Every row has the same arity: one id per query relation.
+func newSegment(k Key, w Window, rows []Row) *Segment {
+	// Engine results arrive sorted already; re-sorting here is a no-op
+	// guard on the cold path.
+	if !slices.IsSortedFunc(rows, compareRowIDs) {
+		slices.SortFunc(rows, compareRowIDs)
+	}
+	seg := &Segment{Key: k, Win: w, anchors: make([]interval.Interval, len(rows)), bytes: segmentOverhead}
+	if len(rows) > 0 {
+		seg.arity = len(rows[0].IDs)
+	}
+	seg.ids = make([]int64, 0, seg.arity*len(rows))
+	for i, r := range rows {
+		seg.ids = append(seg.ids, r.IDs...)
+		seg.anchors[i] = r.Anchor
+		seg.bytes += rowBytes(r)
+	}
+	return seg
+}
+
+// Len is the segment's row count.
+func (s *Segment) Len() int { return len(s.anchors) }
+
+// Row returns row i's output tuple: a capacity-limited view into the
+// segment's id array, which callers must not modify.
+func (s *Segment) Row(i int) core.OutputTuple {
+	lo := i * s.arity
+	return s.ids[lo : lo+s.arity : lo+s.arity]
+}
+
+// clip returns the rows whose anchor intersects w, in canonical order.
+func (s *Segment) clip(w Window) []core.OutputTuple {
+	run := make([]core.OutputTuple, 0, len(s.anchors))
+	for i, a := range s.anchors {
+		if a.Start <= w.Hi && a.End >= w.Lo {
+			run = append(run, s.Row(i))
+		}
+	}
+	return run
 }
 
 // rowBytes approximates a row's resident size: anchor (16) + id slice
@@ -100,6 +148,10 @@ type Stats struct {
 	Insertions, Evictions int64
 	BytesInUse            int64
 	BytesBudget           int64
+	// SharedGaps counts gap windows a query took from another query's
+	// in-flight delta run instead of running the engine again. Service.Stats
+	// fills it; a bare Cache never shares.
+	SharedGaps int64
 }
 
 // HitRatio is the fraction of requested window span served from cache.
@@ -115,8 +167,8 @@ type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	lru    *list.List          // of *Segment; front = most recently used
-	segs   map[Key][]*Segment  // per key, sorted by Win.Lo, windows disjoint
+	lru    *list.List         // of *Segment; front = most recently used
+	segs   map[Key][]*Segment // per key, sorted by Win.Lo, windows disjoint
 	stats  Stats
 }
 
@@ -151,7 +203,7 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 		}
 		hits = append(hits, s)
 		c.lru.MoveToFront(s.elem)
-		c.stats.CachedRows += int64(len(s.Rows))
+		c.stats.CachedRows += int64(s.Len())
 		if s.Win.Hi >= cur {
 			cur = s.Win.Hi + 1
 		}
@@ -179,41 +231,32 @@ func (c *Cache) Lookup(k Key, w Window) (hits []*Segment, gaps []Window) {
 	return hits, gaps
 }
 
-// Insert caches rows as the segment for window w under the key. The window
-// must be one of the gaps a Lookup returned; if it meanwhile overlaps an
-// existing segment (two queries raced on the same gap), the insert is
-// dropped — the disjointness invariant wins over the duplicate work.
-func (c *Cache) Insert(k Key, w Window, rows []Row) *Segment {
-	// Segments hold rows in canonical order so lookups merge sorted runs.
-	// Engine results arrive sorted already; re-sorting here is a no-op
-	// guard on the cold path.
-	if !slices.IsSortedFunc(rows, compareRowIDs) {
-		slices.SortFunc(rows, compareRowIDs)
-	}
+// Insert caches the segment under its key and reports whether it was
+// kept. The segment's window must be one of the gaps a Lookup returned; if
+// it meanwhile overlaps an existing segment (two queries raced on
+// overlapping gaps), the insert is dropped — the disjointness invariant
+// wins over the duplicate work.
+func (c *Cache) Insert(seg *Segment) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	segs := c.segs[k]
+	segs := c.segs[seg.Key]
 	at := len(segs)
 	for i, s := range segs {
-		if s.Win.Hi >= w.Lo && s.Win.Lo <= w.Hi {
-			return nil
+		if s.Win.Hi >= seg.Win.Lo && s.Win.Lo <= seg.Win.Hi {
+			return false
 		}
-		if s.Win.Lo > w.Hi {
+		if s.Win.Lo > seg.Win.Hi {
 			at = i
 			break
 		}
 	}
-	seg := &Segment{Key: k, Win: w, Rows: rows, bytes: segmentOverhead}
-	for _, r := range rows {
-		seg.bytes += rowBytes(r)
-	}
-	c.segs[k] = append(segs[:at:at], append([]*Segment{seg}, segs[at:]...)...)
+	c.segs[seg.Key] = append(segs[:at:at], append([]*Segment{seg}, segs[at:]...)...)
 	seg.elem = c.lru.PushFront(seg)
 	c.bytes += seg.bytes
 	c.stats.Insertions++
-	c.stats.DeltaRows += int64(len(rows))
+	c.stats.DeltaRows += int64(seg.Len())
 	c.evictLocked()
-	return seg
+	return true
 }
 
 // evictLocked drops least-recently-used segments until the budget holds.

@@ -24,8 +24,8 @@ func TestLookupDecomposition(t *testing.T) {
 	if len(hits) != 0 || len(gaps) != 1 || gaps[0] != (Window{0, 99}) {
 		t.Fatalf("cold lookup: hits=%v gaps=%v", hits, gaps)
 	}
-	c.Insert(testKey, Window{0, 99}, mkRows(3, interval.New(10, 20)))
-	c.Insert(testKey, Window{200, 299}, mkRows(2, interval.New(210, 220)))
+	c.Insert(newSegment(testKey, Window{0, 99}, mkRows(3, interval.New(10, 20))))
+	c.Insert(newSegment(testKey, Window{200, 299}, mkRows(2, interval.New(210, 220))))
 
 	// Full hit inside a segment.
 	hits, gaps = c.Lookup(testKey, Window{10, 50})
@@ -58,12 +58,12 @@ func TestLookupDecomposition(t *testing.T) {
 
 func TestInsertOverlapDropped(t *testing.T) {
 	c := New(1 << 20)
-	if seg := c.Insert(testKey, Window{0, 99}, mkRows(1, interval.New(1, 2))); seg == nil {
+	if !c.Insert(newSegment(testKey, Window{0, 99}, mkRows(1, interval.New(1, 2)))) {
 		t.Fatal("first insert dropped")
 	}
 	// A racing insert overlapping an existing segment must be dropped to
 	// keep per-key windows disjoint.
-	if seg := c.Insert(testKey, Window{50, 150}, mkRows(1, interval.New(60, 70))); seg != nil {
+	if c.Insert(newSegment(testKey, Window{50, 150}, mkRows(1, interval.New(60, 70)))) {
 		t.Fatal("overlapping insert accepted")
 	}
 	if c.Len() != 1 {
@@ -78,12 +78,12 @@ func TestByteBudgetLRUEviction(t *testing.T) {
 		segBytes += rowBytes(r)
 	}
 	c := New(3 * segBytes)
-	c.Insert(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5)))
-	c.Insert(testKey, Window{10, 19}, mkRows(10, interval.New(12, 15)))
-	c.Insert(testKey, Window{20, 29}, mkRows(10, interval.New(22, 25)))
+	c.Insert(newSegment(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5))))
+	c.Insert(newSegment(testKey, Window{10, 19}, mkRows(10, interval.New(12, 15))))
+	c.Insert(newSegment(testKey, Window{20, 29}, mkRows(10, interval.New(22, 25))))
 	// Touch the oldest segment so the middle one becomes LRU.
 	c.Lookup(testKey, Window{0, 9})
-	c.Insert(testKey, Window{30, 39}, mkRows(10, interval.New(32, 35)))
+	c.Insert(newSegment(testKey, Window{30, 39}, mkRows(10, interval.New(32, 35))))
 	st := c.Stats()
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
@@ -100,7 +100,7 @@ func TestByteBudgetLRUEviction(t *testing.T) {
 
 func TestOversizedSegmentStaysCold(t *testing.T) {
 	c := New(100) // smaller than any 10-row segment
-	c.Insert(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5)))
+	c.Insert(newSegment(testKey, Window{0, 9}, mkRows(10, interval.New(0, 5))))
 	if c.Len() != 0 {
 		t.Fatalf("oversized segment retained; len=%d", c.Len())
 	}

@@ -11,7 +11,6 @@ import (
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/dfs"
-	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
 	"intervaljoin/internal/query"
@@ -19,13 +18,13 @@ import (
 )
 
 // Service is the resident-relation join service: relations register once
-// (staged to the store under a versioned resident file), and windowed
-// queries answer from the semantic segment cache, running the join engine
-// only over the uncovered delta windows. It is the transport-free core of
-// cmd/ijoind and directly usable in tests and benchmarks.
+// into an in-memory index sorted by anchor start, and windowed queries
+// answer from the semantic segment cache, running the join engine only
+// over the uncovered delta windows, each fed only the tuples the window
+// can reach. It is the transport-free core of cmd/ijoind and directly
+// usable in tests and benchmarks.
 type Service struct {
 	engine    *mr.Engine
-	residents *dfs.Residents
 	cache     *Cache
 	tracer    *obs.Tracer
 	opts      core.Options
@@ -36,34 +35,42 @@ type Service struct {
 	// concurrently.
 	runMu sync.Mutex
 
-	mu   sync.Mutex
-	rels map[string]*residentRel
+	mu      sync.Mutex
+	rels    map[string]*resident
+	flights map[flightKey]*flight
 
 	// runSeq numbers delta runs, naming each run's scratch namespace.
 	runSeq atomic.Int64
+	// shared counts gaps taken from another query's in-flight run.
+	shared atomic.Int64
 }
 
-// residentRel is one registered relation: the in-memory copy (bound into
-// run contexts for planning), its staged store file + version, and the
-// id → anchor index used to attach clip anchors to delta rows.
-type residentRel struct {
-	rel     *relation.Relation
-	file    string
-	version int
-	anchors map[int64]interval.Interval
+// flightKey identifies one delta run: the same gap of the same result
+// space (which pins the relation versions) yields the same rows.
+type flightKey struct {
+	key Key
+	gap Window
+}
+
+// flight is a delta run in progress; done closes once seg or err is set.
+type flight struct {
+	done chan struct{}
+	seg  *Segment
+	alg  string
+	err  error
 }
 
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
-	// Engine runs the delta joins. Required; its store receives the
-	// resident files.
+	// Engine runs the delta joins. Required; its store holds each run's
+	// staged slices and intermediates until the run ends.
 	Engine *mr.Engine
 	// CacheBytes is the segment cache's byte budget (0 → DefaultBudget).
 	CacheBytes int64
 	// Tracer, when non-nil, receives the cache_* counters per query.
 	Tracer *obs.Tracer
-	// Opts are the base run options applied to every delta join; Window,
-	// WindowRel, ResidentInputs and Scratch are overwritten per run.
+	// Opts are the base run options applied to every delta join; Scratch
+	// is overwritten and Window cleared per run.
 	Opts core.Options
 	// Algorithm optionally overrides the planner's choice per query; nil
 	// uses core.Plan.
@@ -81,44 +88,60 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	return &Service{
 		engine:    cfg.Engine,
-		residents: dfs.NewResidents(cfg.Engine.Store()),
 		cache:     New(cfg.CacheBytes),
 		tracer:    cfg.Tracer,
 		opts:      cfg.Opts,
 		algorithm: alg,
-		rels:      make(map[string]*residentRel),
+		rels:      make(map[string]*resident),
+		flights:   make(map[flightKey]*flight),
 	}, nil
 }
 
-// Register stages the relation as the next version of its name and makes
+// Register indexes the relation as the next version of its name and makes
 // it queryable. Re-registering a name bumps the version: cached segments
 // built on the old version stop matching new queries' keys and age out of
-// the LRU; in-flight queries keep reading the old resident file.
+// the LRU; in-flight queries keep the index they bound. The service keeps
+// the relation, so the caller must not modify it afterwards.
 func (s *Service) Register(rel *relation.Relation) (version int, err error) {
+	if rel.Schema.Name == "" {
+		return 0, fmt.Errorf("cache: a registered relation needs a name")
+	}
+	if rel.Schema.Arity() == 0 {
+		return 0, fmt.Errorf("cache: relation %s has no attributes", rel.Schema.Name)
+	}
 	if err := rel.Validate(); err != nil {
 		return 0, err
 	}
-	records := make([]string, rel.Len())
-	anchors := make(map[int64]interval.Interval, rel.Len())
-	for i, t := range rel.Tuples {
-		records[i] = relation.EncodeRecord(relation.Header{}, t)
-		anchors[t.ID] = t.Attrs[0]
-	}
-	file, version, err := s.residents.Register(rel.Schema.Name, records)
-	if err != nil {
-		return 0, err
-	}
+	r := newResident(rel)
 	s.mu.Lock()
-	s.rels[rel.Schema.Name] = &residentRel{rel: rel, file: file, version: version, anchors: anchors}
-	s.mu.Unlock()
-	return version, nil
+	defer s.mu.Unlock()
+	if old, ok := s.rels[rel.Schema.Name]; ok {
+		r.version = old.version
+	}
+	r.version++
+	s.rels[rel.Schema.Name] = r
+	return r.version, nil
 }
 
 // Relations lists the registered relation names, sorted.
-func (s *Service) Relations() []string { return s.residents.Names() }
+func (s *Service) Relations() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := make([]string, 0, len(s.rels))
+	for n := range s.rels {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return names
+}
 
-// Stats snapshots the segment cache accounting.
-func (s *Service) Stats() Stats { return s.cache.Stats() }
+// Stats snapshots the segment cache accounting, plus the gaps the service
+// shared between concurrent queries.
+func (s *Service) Stats() Stats {
+	st := s.cache.Stats()
+	st.SharedGaps = s.shared.Load()
+	return st
+}
 
 // Answer is one query's result and its cache provenance.
 type Answer struct {
@@ -139,9 +162,11 @@ type Answer struct {
 	CachedRows, DeltaRows int64
 	// Algorithm is the driver that ran the delta joins ("" on a full hit).
 	Algorithm string
-	// Engine aggregates the engine metrics of the query's delta runs (one
-	// Merge per gap window). Nil when the cache covered the whole window —
-	// the telemetry bridge in cmd/ijoind publishes it after each query.
+	// Engine aggregates the engine metrics of the delta runs this query
+	// executed (one Merge per gap window). Nil when it ran none: the cache
+	// covered the whole window, or every gap was shared with a concurrent
+	// query's run. The telemetry bridge in cmd/ijoind publishes it after
+	// each query.
 	Engine *mr.Metrics
 	// Wall is the query's service-side latency.
 	Wall time.Duration
@@ -150,8 +175,8 @@ type Answer struct {
 // Query answers a windowed query: rows whose anchor intersects the closed
 // window [w.Lo, w.Hi]. Every relation the query names must be registered.
 // Cache-covered spans merge without touching the engine; uncovered gaps
-// run as delta-window joins over the resident files and populate the cache
-// for the next query.
+// run as delta-window joins over the tuples they can reach and populate
+// the cache for the next query.
 func (s *Service) Query(q *query.Query, w Window) (*Answer, error) {
 	return s.queryOn(s.engine, q, w)
 }
@@ -173,7 +198,7 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, files, versions, anchors, err := s.bind(q)
+	res, versions, err := s.bind(q)
 	if err != nil {
 		return nil, err
 	}
@@ -192,37 +217,25 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	ans.HitSegments = len(hits)
 	ans.DeltaWindows = gaps
 
-	// Merge: clip cached rows to the query window, then union in the delta
-	// rows. Segment rows and engine results are already in canonical order
-	// (the drivers sort, Insert re-checks), so the answer is a k-way merge
-	// of sorted runs; the halo — rows whose anchor straddles a segment/gap
-	// boundary arrive from both sides — dedups by dropping equal heads.
+	// Merge: clip cached and delta segments to the query window. Segment
+	// rows are in canonical order (the drivers sort, newSegment re-checks),
+	// so the answer is a k-way merge of sorted runs; the halo — rows whose
+	// anchor straddles a segment/gap boundary arrive from both sides —
+	// dedups by dropping equal heads.
 	runs := make([][]core.OutputTuple, 0, len(hits)+len(gaps))
 	for _, seg := range hits {
-		run := make([]core.OutputTuple, 0, len(seg.Rows))
-		for _, r := range seg.Rows {
-			if r.Anchor.Start > w.Hi || r.Anchor.End < w.Lo {
-				continue
-			}
-			run = append(run, r.IDs)
-		}
-		runs = append(runs, run)
-		ans.CachedRows += int64(len(seg.Rows))
+		runs = append(runs, seg.clip(w))
+		ans.CachedRows += int64(seg.Len())
 	}
 	for _, gap := range gaps {
-		rows, algName, em, err := s.runDelta(engine, q, rels, files, gap)
+		seg, algName, em, err := s.fill(engine, key, q, res, gap)
 		if err != nil {
 			return nil, err
 		}
 		ans.Algorithm = algName
 		ans.mergeEngine(em)
-		ans.DeltaRows += int64(len(rows))
-		cached := make([]Row, len(rows))
-		for i, t := range rows {
-			cached[i] = Row{IDs: t, Anchor: anchors[t[0]]}
-		}
-		s.cache.Insert(key, gap, cached)
-		runs = append(runs, rows)
+		ans.DeltaRows += int64(seg.Len())
+		runs = append(runs, seg.clip(w))
 	}
 	ans.Rows = mergeRuns(runs)
 
@@ -235,6 +248,52 @@ func (s *Service) queryOn(engine *mr.Engine, q *query.Query, w Window) (*Answer,
 	}
 	ans.Wall = time.Since(start)
 	return ans, nil
+}
+
+// fill returns the segment of rows anchored in the gap and caches it. A
+// query asking for a gap another query is already joining waits for that
+// run and shares its segment instead of queueing a second engine run; it
+// gets no engine metrics, since it ran nothing.
+func (s *Service) fill(engine *mr.Engine, key Key, q *query.Query, res []*resident, gap Window) (*Segment, string, *mr.Metrics, error) {
+	fk := flightKey{key: key, gap: gap}
+	s.mu.Lock()
+	if f, ok := s.flights[fk]; ok {
+		s.mu.Unlock()
+		s.shared.Add(1)
+		<-f.done
+		return f.seg, f.alg, nil, f.err
+	}
+	f := &flight{done: make(chan struct{})}
+	s.flights[fk] = f
+	s.mu.Unlock()
+
+	var em *mr.Metrics
+	f.seg, f.alg, em, f.err = s.deltaSegment(engine, key, q, res, gap)
+	if f.err == nil {
+		s.cache.Insert(f.seg)
+	}
+	s.mu.Lock()
+	delete(s.flights, fk)
+	s.mu.Unlock()
+	close(f.done)
+	return f.seg, f.alg, em, f.err
+}
+
+// deltaSegment joins the gap and flattens the rows, each with its anchor
+// from the run's relation-0 slice, into a segment.
+func (s *Service) deltaSegment(engine *mr.Engine, key Key, q *query.Query, res []*resident, gap Window) (*Segment, string, *mr.Metrics, error) {
+	out, anchorRel, err := s.runDelta(engine, q, res, gap)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	byID := slices.Clone(anchorRel.Tuples)
+	slices.SortFunc(byID, func(a, b relation.Tuple) int { return cmp.Compare(a.ID, b.ID) })
+	rows := make([]Row, len(out.Tuples))
+	for i, t := range out.Tuples {
+		j, _ := slices.BinarySearchFunc(byID, t[0], func(a relation.Tuple, id int64) int { return cmp.Compare(a.ID, id) })
+		rows[i] = Row{IDs: t, Anchor: byID[j].Attrs[0]}
+	}
+	return newSegment(key, gap, rows), out.Algorithm, out.Metrics, nil
 }
 
 // RunCold answers the windowed query with a single engine run over the
@@ -250,7 +309,7 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, files, versions, _, err := s.bind(q)
+	res, versions, err := s.bind(q)
 	if err != nil {
 		return nil, err
 	}
@@ -259,15 +318,15 @@ func (s *Service) RunCold(q *query.Query, w Window) (*Answer, error) {
 		ans.Wall = time.Since(start)
 		return ans, nil
 	}
-	rows, algName, em, err := s.runDelta(s.engine, q, rels, files, w)
+	out, _, err := s.runDelta(s.engine, q, res, w)
 	if err != nil {
 		return nil, err
 	}
-	ans.Rows = rows
-	ans.Algorithm = algName
-	ans.mergeEngine(em)
+	ans.Rows = out.Tuples
+	ans.Algorithm = out.Algorithm
+	ans.mergeEngine(out.Metrics)
 	ans.DeltaWindows = []Window{w}
-	ans.DeltaRows = int64(len(rows))
+	ans.DeltaRows = int64(len(out.Tuples))
 	slices.SortFunc(ans.Rows, compareTuples)
 	ans.Wall = time.Since(start)
 	return ans, nil
@@ -327,65 +386,60 @@ func compareTuples(a, b core.OutputTuple) int {
 	return 0
 }
 
-// bind resolves the query's relations against the registry, returning the
-// bound relations, their resident files (query relation order), the
-// version string for the cache key, and the anchor index of relation 0.
-func (s *Service) bind(q *query.Query) ([]*relation.Relation, []string, string, map[int64]interval.Interval, error) {
+// bind resolves the query's relations against the registry, returning
+// each relation's index (query relation order) and the version string for
+// the cache key. Both are read under one lock, so a key's versions always
+// name the indexes the answer is computed from.
+func (s *Service) bind(q *query.Query) ([]*resident, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rels := make([]*relation.Relation, len(q.Relations))
-	files := make([]string, len(q.Relations))
+	res := make([]*resident, len(q.Relations))
 	versions := make([]byte, 0, 32)
-	var anchors map[int64]interval.Interval
 	for i, schema := range q.Relations {
 		r, ok := s.rels[schema.Name]
 		if !ok {
-			return nil, nil, "", nil, fmt.Errorf("cache: relation %s is not registered", schema.Name)
+			return nil, "", fmt.Errorf("cache: relation %s is not registered", schema.Name)
 		}
-		rels[i] = r.rel
-		files[i] = r.file
+		res[i] = r
 		if i > 0 {
 			versions = append(versions, ',')
 		}
 		versions = append(versions, schema.Name...)
 		versions = append(versions, "@v"...)
 		versions = strconv.AppendInt(versions, int64(r.version), 10)
-		if i == 0 {
-			anchors = r.anchors
-		}
 	}
-	return rels, files, string(versions), anchors, nil
+	return res, string(versions), nil
 }
 
-// runDelta executes the join restricted to the gap window over the
-// resident files, on the given engine (the shared one, or a per-query
-// traced derivation). Engine runs serialize on runMu; the result is
-// exactly the rows whose anchor intersects the gap, including whole
-// (unclipped) straddling anchors — the halo the merge dedups — plus the
-// run's engine metrics for the telemetry bridge. The run's scratch files
-// are removed once its rows are read, so a long-running service's store
-// holds only the resident files.
-func (s *Service) runDelta(engine *mr.Engine, q *query.Query, rels []*relation.Relation, files []string, gap Window) ([]core.OutputTuple, string, *mr.Metrics, error) {
+// runDelta executes the join restricted to the window on the given engine
+// (the shared one, or a per-query traced derivation), feeding it only the
+// tuples the window can reach (see reach). Engine runs serialize on runMu.
+// The result is exactly the rows whose anchor intersects the window,
+// including whole (unclipped) straddling anchors — the halo the merge
+// dedups — plus the run's engine metrics; the relation-0 slice is
+// returned for the rows' anchors. The run stages its slices and writes
+// its intermediates under its own scratch namespace and removes every
+// file there once its rows are read, so the store is empty between runs.
+func (s *Service) runDelta(engine *mr.Engine, q *query.Query, res []*resident, w Window) (*core.Result, *relation.Relation, error) {
+	rels := reach(q, res, w)
 	opts := s.opts
-	opts.Window = &[2]interval.Point{gap.Lo, gap.Hi}
-	opts.WindowRel = 0
-	opts.ResidentInputs = files
+	opts.Window = nil
 	opts.Scratch = "delta-" + strconv.FormatInt(s.runSeq.Add(1), 10)
 	ctx, err := core.NewContext(engine, q, rels, opts)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	alg := s.algorithm(q)
 	s.runMu.Lock()
-	res, err := alg.Run(ctx)
+	out, err := alg.Run(ctx)
 	s.runMu.Unlock()
 	if cerr := removeScratch(engine.Store(), opts.Scratch+"/"); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
-	return res.Tuples, res.Algorithm, res.Metrics, nil
+	return out, rels[0], nil
 }
 
 // removeScratch deletes every store file under the prefix.

@@ -3,7 +3,10 @@ package cache
 import (
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"intervaljoin/internal/core"
 	"intervaljoin/internal/dfs"
@@ -23,8 +26,8 @@ func adversarialRelation(name string, seed int64) *relation.Relation {
 	var ivs []interval.Interval
 	for b := interval.Point(0); b <= 400; b += 100 {
 		ivs = append(ivs,
-			interval.New(b, b),        // point on the boundary
-			interval.New(b, b+100),    // starts on a boundary, ends on the next
+			interval.New(b, b),             // point on the boundary
+			interval.New(b, b+100),         // starts on a boundary, ends on the next
 			interval.New(max(0, b-1), b+1), // straddles by one
 		)
 	}
@@ -40,13 +43,6 @@ func adversarialRelation(name string, seed int64) *relation.Relation {
 		ivs = append(ivs, interval.New(s, e))
 	}
 	return relation.FromIntervals(name, ivs)
-}
-
-func max(a, b interval.Point) interval.Point {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func newTestService(t *testing.T, rels ...*relation.Relation) *Service {
@@ -268,7 +264,8 @@ func TestThreeWayHybridWindow(t *testing.T) {
 	}
 }
 
-// TestUnregisteredRelationRejected pins the service's binding error.
+// TestUnregisteredRelationRejected pins the service's binding and
+// registration errors.
 func TestUnregisteredRelationRejected(t *testing.T) {
 	svc := newTestService(t, adversarialRelation("R1", 31))
 	if _, err := svc.Query(predQuery(t, interval.Meets), Window{0, 10}); err == nil {
@@ -277,11 +274,16 @@ func TestUnregisteredRelationRejected(t *testing.T) {
 	if _, err := svc.Query(predQuery(t, interval.Meets), Window{10, 0}); err == nil {
 		t.Fatal("empty window accepted")
 	}
+	noAttrs := &relation.Relation{Schema: relation.Schema{Name: "R9"}, Tuples: []relation.Tuple{{ID: 0}}}
+	if _, err := svc.Register(noAttrs); err == nil {
+		t.Fatal("relation without attributes registered")
+	}
 }
 
 // TestDeltaRunsLeaveNoScratch checks delta and cold runs remove their
-// scratch files: after 50 queries over distinct gaps, the store holds only
-// the resident files.
+// scratch files, staged slices included: after 50 queries over distinct
+// gaps and one cold run, the store is empty — registered relations live
+// in memory, not on the store.
 func TestDeltaRunsLeaveNoScratch(t *testing.T) {
 	svc := newTestService(t, adversarialRelation("R1", 37), adversarialRelation("R2", 41))
 	q := predQuery(t, interval.Overlaps)
@@ -298,8 +300,146 @@ func TestDeltaRunsLeaveNoScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{dfs.ResidentFile("R1", 1), dfs.ResidentFile("R2", 1)}
-	if !slices.Equal(files, want) {
-		t.Fatalf("store holds %q, want only the resident files %q", files, want)
+	if len(files) != 0 {
+		t.Fatalf("store holds %q, want it empty", files)
+	}
+}
+
+// gatedAlgorithm counts engine runs and holds each until release closes.
+type gatedAlgorithm struct {
+	core.Algorithm
+	runs    *atomic.Int64
+	started chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g gatedAlgorithm) Run(ctx *core.Context) (*core.Result, error) {
+	g.runs.Add(1)
+	g.started <- struct{}{}
+	<-g.release
+	return g.Algorithm.Run(ctx)
+}
+
+// TestConcurrentQueriesShareOneGapRun: a second query asking for the gap
+// a first query is still joining waits for that run and shares its rows,
+// so two concurrent cold queries on one gap make one engine run, and both
+// answers equal the windowed reference.
+func TestConcurrentQueriesShareOneGapRun(t *testing.T) {
+	r1, r2 := adversarialRelation("R1", 73), adversarialRelation("R2", 79)
+	var runs atomic.Int64
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	svc, err := NewService(ServiceConfig{
+		Engine: mr.NewEngine(mr.Config{Store: dfs.NewMem(), Workers: 2}),
+		Opts:   core.Options{Partitions: 4},
+		Algorithm: func(q *query.Query) core.Algorithm {
+			return gatedAlgorithm{Algorithm: core.Plan(q, false), runs: &runs, started: started, release: release}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*relation.Relation{r1, r2} {
+		if _, err := svc.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := predQuery(t, interval.Overlaps)
+	w := Window{100, 299}
+	var answers [2]*Answer
+	var errs [2]error
+	var wg sync.WaitGroup
+	query := func(i int) {
+		defer wg.Done()
+		answers[i], errs[i] = svc.Query(q, w)
+	}
+	wg.Add(2)
+	go query(0)
+	<-started // the first query's run is in the engine
+	go query(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Stats().SharedGaps == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("two concurrent queries on one gap made %d engine runs, want 1", n)
+	}
+	if st := svc.Stats(); st.SharedGaps != 1 || st.Misses != 2 {
+		t.Fatalf("stats %+v: want one shared gap and two misses", st)
+	}
+	want := oracleWindow(t, svc, q, []*relation.Relation{r1, r2}, w)
+	for i, ans := range answers {
+		diffRows(t, "query "+itoa(i), ans.Rows, want)
+	}
+	if answers[0].Engine == nil || answers[1].Engine != nil {
+		t.Fatal("only the query that ran the gap reports engine metrics")
+	}
+}
+
+// TestScatteredRowsFlattenUnchanged re-points every cached segment's rows
+// at scattered allocations — each row's ids a separate allocation, made
+// in shuffled order and handed over out of canonical order, the way
+// engine output arrives — and rebuilds the segment from them. Answers
+// must stay the same, the segment must not alias its input rows, and the
+// byte accounting must still charge rowBytes per row.
+func TestScatteredRowsFlattenUnchanged(t *testing.T) {
+	svc := newTestService(t, adversarialRelation("R1", 83), adversarialRelation("R2", 89))
+	q := predQuery(t, interval.Overlaps)
+	want := make([][]core.OutputTuple, len(windowMix))
+	for i, w := range windowMix {
+		ans, err := svc.Query(q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ans.Rows
+	}
+	c := svc.cache
+	c.mu.Lock()
+	var segs []*Segment
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		segs = append(segs, e.Value.(*Segment))
+	}
+	c.mu.Unlock()
+	before := c.Stats().BytesInUse
+	rng := rand.New(rand.NewSource(97))
+	var rowSum int64
+	for _, seg := range segs {
+		rows := make([]Row, seg.Len())
+		for _, i := range rng.Perm(seg.Len()) {
+			rows[i] = Row{IDs: slices.Clone(seg.Row(i)), Anchor: seg.anchors[i]}
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		flat := newSegment(seg.Key, seg.Win, rows)
+		rowSum += segmentOverhead
+		for _, r := range rows {
+			rowSum += rowBytes(r)
+			r.IDs[0] = -1 // the segment holds its own copy
+		}
+		c.mu.Lock()
+		c.removeLocked(seg)
+		c.mu.Unlock()
+		if !c.Insert(flat) {
+			t.Fatal("rebuilt segment dropped")
+		}
+	}
+	if got := c.Stats().BytesInUse; got != before || got != rowSum {
+		t.Fatalf("bytes in use %d after rebuild, %d before, rowBytes sum %d", got, before, rowSum)
+	}
+	for i, w := range windowMix {
+		ans, err := svc.Query(q, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.DeltaWindows) != 0 {
+			t.Fatalf("window %s missed the rebuilt segments", w.string())
+		}
+		diffRows(t, "rebuilt "+w.string(), ans.Rows, want[i])
 	}
 }

@@ -74,22 +74,14 @@ type Options struct {
 	// annotates the reported plan.
 	AutoPartitions bool
 	// Window, when set, restricts the run to the closed time window
-	// [Window[0], Window[1]]: the anchor relation (WindowRel) is filtered
+	// [Window[0], Window[1]]: the anchor relation, relation 0, is filtered
 	// at map-feed time to tuples whose first interval attribute intersects
 	// the window, so the output is exactly the join rows anchored in the
 	// window — including rows whose anchor straddles a window boundary
 	// (the tuple is fed whole; callers merging adjacent windows dedup).
-	// This is the cache service's delta-window execution path.
+	// It is the windowed-query oracle over whole relations; the cache
+	// service feeds pre-sliced relations instead.
 	Window *[2]interval.Point
-	// WindowRel is the index of the anchor relation the Window filter
-	// applies to. The cache service always anchors on relation 0.
-	WindowRel int
-	// ResidentInputs maps relation index -> pre-staged store file. A
-	// non-empty entry makes Stage skip writing that relation and the
-	// drivers map over the named file instead of "input/<name>" — the
-	// resident-relation path: stage once at registration, reuse across
-	// queries. Entries beyond the slice (or empty strings) stage normally.
-	ResidentInputs []string
 }
 
 // scratchSeq disambiguates the scratch namespaces of concurrent runs that
@@ -150,33 +142,25 @@ func NewContext(engine *mr.Engine, q *query.Query, rels []*relation.Relation, op
 	return &Context{Engine: engine, Query: q, Rels: bound, Opts: opts}, nil
 }
 
-// inputFile is where relation ri lives on the store: the resident file
-// when one is registered, the per-run staging name otherwise.
+// inputFile is where relation ri is staged on the store: under the run's
+// scratch namespace when one is set, so removing the namespace removes the
+// staged copy too.
 func (c *Context) inputFile(ri int) string {
-	if f := c.residentFile(ri); f != "" {
-		return f
+	name := "input/" + c.Query.Relations[ri].Name
+	if c.Opts.Scratch != "" {
+		return c.Opts.Scratch + "/" + name
 	}
-	return "input/" + c.Query.Relations[ri].Name
-}
-
-// residentFile returns the pre-staged store file for relation ri, or ""
-// when the relation is not resident.
-func (c *Context) residentFile(ri int) string {
-	if ri < len(c.Opts.ResidentInputs) {
-		return c.Opts.ResidentInputs[ri]
-	}
-	return ""
+	return name
 }
 
 // relInput builds the map input for relation ri carrying map tag. When the
-// run is windowed (Options.Window) and ri is the anchor relation, the input
+// run is windowed (Options.Window) and ri is the anchor relation 0, the input
 // gets a feed-time filter that drops tuples whose anchor attribute misses
-// the window — the delta-window path of the cache service. Every driver
-// site that maps over a relation's staged file goes through here so the
-// window semantics hold for all algorithms.
+// the window. Every driver site that maps over a relation's staged file
+// goes through here so the window semantics hold for all algorithms.
 func (c *Context) relInput(ri, tag int) mr.Input {
 	in := mr.Input{File: c.inputFile(ri), Tag: tag}
-	if c.Opts.Window != nil && ri == c.Opts.WindowRel {
+	if c.Opts.Window != nil && ri == 0 {
 		in.Where = windowFilter(c.Opts.Window[0], c.Opts.Window[1])
 	}
 	return in
@@ -194,15 +178,9 @@ func windowFilter(lo, hi interval.Point) func(string) bool {
 }
 
 // Stage writes every relation to the store in the engine's record format.
-// It is idempotent per store; callers sharing a store across algorithm runs
-// stage once. Relations with a resident input registered in the options are
-// skipped: their file was written at registration time and is shared across
-// runs.
+// It is idempotent per store.
 func (c *Context) Stage() error {
 	for ri, r := range c.Rels {
-		if c.residentFile(ri) != "" {
-			continue
-		}
 		w, err := c.Engine.Store().Create(c.inputFile(ri))
 		if err != nil {
 			return err

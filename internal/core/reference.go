@@ -24,18 +24,17 @@ func (Reference) Run(ctx *Context) (*Result, error) {
 		rels[i] = i
 		cands[i] = r.Tuples
 	}
-	// Honor the delta-window restriction the engine drivers apply at feed
-	// time: the anchor relation keeps only tuples whose first attribute
-	// intersects the closed window.
-	if w := ctx.Opts.Window; w != nil && ctx.Opts.WindowRel < len(cands) {
-		src := cands[ctx.Opts.WindowRel]
-		kept := make([]relation.Tuple, 0, len(src))
-		for _, t := range src {
+	// Honor the window restriction the engine drivers apply at feed time:
+	// relation 0 keeps only tuples whose first attribute intersects the
+	// closed window.
+	if w := ctx.Opts.Window; w != nil {
+		kept := make([]relation.Tuple, 0, len(cands[0]))
+		for _, t := range cands[0] {
 			if t.Attrs[0].Start <= w[1] && t.Attrs[0].End >= w[0] {
 				kept = append(kept, t)
 			}
 		}
-		cands[ctx.Opts.WindowRel] = kept
+		cands[0] = kept
 	}
 	e := newEnumerator(ctx.Query.Conds, rels)
 	e.run(cands, func(asg []relation.Tuple) {

@@ -114,11 +114,9 @@ type Input struct {
 	Tag  int
 	// Where optionally filters records at feed time: only records for
 	// which it returns true reach the map tasks; the rest are dropped
-	// before batching and counted in Metrics.FilteredRecords. This is the
-	// delta-window execution entry point: the cache service re-runs a join
-	// over only the tuples intersecting an uncovered time window by
-	// feeding the resident relation file through a window predicate,
-	// without re-staging a filtered copy. Nil feeds every record. The
+	// before batching and counted in Metrics.FilteredRecords. Windowed
+	// runs over whole relations (core.Options.Window) use it to keep only
+	// the anchor tuples intersecting the window. Nil feeds every record. The
 	// function must be safe for concurrent calls (one reader goroutine per
 	// input file).
 	Where func(record string) bool

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the engine's one record format. Every record the MR engine
-// stores or shuffles — staged and resident inputs, map→reduce values,
+// stores or shuffles — staged inputs, map→reduce values,
 // cycle boundaries, spill payloads — is a header followed by a tuple, in
 // encoding/binary varints:
 //

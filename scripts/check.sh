@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything that must be green before a change lands.
 #
-#   1. go vet        — static checks
+#   1. go vet        — static checks, plus gofmt -l (the lint fixtures
+#                      under internal/lint/testdata are unformatted on
+#                      purpose and skipped)
 #   2. ijlint        — the engine's domain-specific analyzers (docs/LINTS.md):
 #                      exhaustive Allen switches, emitter escapes, sync.Pool
 #                      hygiene, shard-lock discipline, hot-path ban list
@@ -29,6 +31,14 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+unformatted=$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files needing gofmt:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== ijlint =="
 # -time prints the per-analyzer wall breakdown to stderr: the informal
