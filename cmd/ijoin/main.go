@@ -6,8 +6,8 @@
 //	ijoin -query "R1 overlaps R2 and R2 overlaps R3" \
 //	      -rel R1=a.txt -rel R2=b.txt -rel R3=c.txt \
 //	      [-algorithm rccis] [-partitions 16|auto] [-per-dim 6] \
-//	      [-adaptive] [-resplit N] \
-//	      [-data-dir /tmp/ij] [-o out.txt] [-stats] [-materialize] \
+//	      [-adaptive] \
+//	      [-data-dir /tmp/ij] [-o out.txt] [-stats] \
 //	      [-trace trace.json] [-metrics metrics.json]
 //
 // Input files hold one tuple per line; each attribute is "start,end" and
@@ -45,8 +45,6 @@ func main() {
 		equiDepth  = flag.Bool("equi-depth", false, "derive partition boundaries from start-point quantiles (for skewed data)")
 		adaptive   = flag.Bool("adaptive", false, "skew-aware execution: histogram-driven boundaries plus virtual splitting of hot partitions")
 		maxVirtual = flag.Int("max-virtual", 0, "with -adaptive, cap on virtual reducers per split partition (0 = default 8)")
-		resplitAt  = flag.Int("resplit", 0, "re-split a reduce task over spare workers once its value list reaches N (0 = off)")
-		material   = flag.Bool("materialize", false, "write every MR cycle boundary to the store instead of streaming it (Hadoop parity)")
 		dataDir    = flag.String("data-dir", "", "spill intermediates to this directory instead of RAM")
 		oPath      = flag.String("o", "-", "output file ('-' = stdout)")
 		emit       = flag.String("emit", "ids", "output format: ids (line numbers) | tuples (full interval values)")
@@ -134,10 +132,9 @@ func main() {
 		tracer = intervaljoin.NewTracer(intervaljoin.TracerOptions{PprofLabels: *pprofTags})
 	}
 	eng, err := intervaljoin.NewEngine(intervaljoin.EngineOptions{
-		Workers:              *workers,
-		DataDir:              *dataDir,
-		Tracer:               tracer,
-		ResplitPairThreshold: *resplitAt,
+		Workers: *workers,
+		DataDir: *dataDir,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		fatal(err)
@@ -149,7 +146,6 @@ func main() {
 		Adaptive:         *adaptive,
 		MaxVirtual:       *maxVirtual,
 		AutoPartitions:   autoK,
-		Materialize:      *material,
 	}
 
 	var res *intervaljoin.Result

@@ -9,7 +9,6 @@ import (
 	"intervaljoin/internal/interval"
 	"intervaljoin/internal/mr"
 	"intervaljoin/internal/obs"
-	"intervaljoin/internal/relation"
 )
 
 // Skew-aware execution plan. The paper's partitioning maps partition
@@ -206,13 +205,9 @@ func balancedDims(streams, v int) []int {
 	return dims
 }
 
-// Hash salts separating the two cell covers: a reduce task that was
-// already virtually split at map time must not re-split along the same
-// rows at run time, or every value would land in a single sub-shard.
-const (
-	virtualSalt uint64 = 0x01
-	resplitSalt uint64 = 0x9e00
-)
+// virtualSalt seeds the cell cover's row hash; each input stream adds its
+// index so the streams' rows are drawn independently.
+const virtualSalt uint64 = 0x01
 
 // rowOf deterministically assigns a record to one row of a cell-grid
 // dimension. FNV-1a over the record bytes with a splitmix64 finish —
@@ -390,71 +385,4 @@ func (c *Context) sampleIntervals() ([]interval.Interval, float64) {
 		return nil, 1
 	}
 	return sample, float64(total) / float64(len(sample))
-}
-
-// resplitValues builds a mr.Job.Resplit hook: the run-time counterpart of
-// the plan-time cell cover, applied to one oversized reduce task's value
-// list. The task's values are spread over a cell grid with one dimension
-// per input stream (each value replicated to the cells matching its row),
-// so reducing every shard independently and concatenating the outputs
-// yields exactly the single task's output set — each complete assignment
-// meets in exactly one shard. streamOf classifies a value; a negative
-// return (malformed record) replicates the value to every shard, which
-// is always safe.
-func resplitValues(streams int, streamOf func(string) int) func(key int64, values []string, parts int) [][]string {
-	return func(key int64, values []string, parts int) [][]string {
-		if parts < 2 {
-			return nil
-		}
-		g := grid.MustNew(balancedDims(streams, parts))
-		dims := g.Dims()
-		shards := make([][]string, g.NumCells())
-		free := g.FreeBounds()
-		bounds := g.FreeBounds()
-		for _, v := range values {
-			d := streamOf(v)
-			if d < 0 || d >= streams {
-				for i := range shards {
-					shards[i] = append(shards[i], v)
-				}
-				continue
-			}
-			copy(bounds, free)
-			row := rowOf(v, resplitSalt+uint64(d), dims[d])
-			bounds[d] = grid.Bound{Min: row, Max: row}
-			g.EnumerateRuns(bounds, nil, func(lo, hi int64) {
-				for id := lo; id <= hi; id++ {
-					shards[id] = append(shards[id], v)
-				}
-			})
-		}
-		return shards
-	}
-}
-
-// streamOfTagged classifies a record by its relation tag — the stream
-// function of the single-cycle join jobs.
-func streamOfTagged(v string) int {
-	h, err := relation.DecodeHeader(v)
-	if err != nil {
-		return -1
-	}
-	return h.Rel
-}
-
-// cascadeStreams classifies a cascade step's values: stream 1 carries the
-// novel relation's tuples, stream 0 the partial assignments, whose first
-// record is never the novel relation's — mirroring the reduce function's
-// own partial/novel separation.
-func cascadeStreams(novel, existing int) func(string) int {
-	return func(v string) int {
-		rel := streamOfTagged(v)
-		if rel < 0 {
-			return -1
-		}
-		if rel == novel && novel != existing {
-			return 1
-		}
-		return 0
-	}
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // Adaptive-plan equivalence: the skew-aware planner only rearranges the
-// reduce-key layout (boundaries, virtual reducers, mid-job re-splits) —
-// it must never change WHICH tuples come out. Virtual splitting and
-// re-splitting do reorder output lines across (sub-)reducers, so these
-// tests compare the sorted line sets plus the logical counts, unlike the
-// range-emit tests' exact positional comparison.
+// reduce-key layout (boundaries, virtual reducers) — it must never change
+// WHICH tuples come out. Virtual splitting does reorder output lines
+// across reducers, so these tests compare the sorted line sets plus the
+// logical counts, unlike the range-emit tests' exact positional
+// comparison.
 
 // requireSameOutputSet asserts both runs produced the same multiset of
 // output lines and agree on every logical statistic.
@@ -45,21 +45,19 @@ func requireSameOutputSet(t *testing.T, base, adapt *Result, baseLines, adaptLin
 }
 
 // adaptiveVariants enumerates the plan perturbations every algorithm must
-// be invariant under. forceSplit drives SplitThreshold to near zero so
-// even balanced partitions expand into virtual reducers; forceResplit
-// re-shards every reduce task at run time.
+// be invariant under. force-split drives SplitThreshold to near zero so
+// even balanced partitions expand into virtual reducers.
 var adaptiveVariants = []struct {
 	name string
-	mut  func(*Options, *mr.Config)
+	mut  func(*Options)
 }{
-	{"adaptive", func(o *Options, _ *mr.Config) { o.Adaptive = true }},
-	{"equidepth", func(o *Options, _ *mr.Config) { o.EquiDepth = true }},
-	{"force-split", func(o *Options, _ *mr.Config) {
+	{"adaptive", func(o *Options) { o.Adaptive = true }},
+	{"equidepth", func(o *Options) { o.EquiDepth = true }},
+	{"force-split", func(o *Options) {
 		o.Adaptive = true
 		o.SplitThreshold = 0.01
 		o.MaxVirtual = 3
 	}},
-	{"force-resplit", func(_ *Options, c *mr.Config) { c.ResplitPairThreshold = 1 }},
 }
 
 // TestAdaptiveMatchesUniformAllenPredicates joins two Zipf-skewed
@@ -77,9 +75,9 @@ func TestAdaptiveMatchesUniformAllenPredicates(t *testing.T) {
 		baseRes, baseLines := runWithConfig(t, TwoWay{}, q, rels, base, mr.Config{})
 		for _, v := range adaptiveVariants {
 			t.Run(p.String()+"/"+v.name, func(t *testing.T) {
-				opts, cfg := base, mr.Config{}
-				v.mut(&opts, &cfg)
-				res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, cfg)
+				opts := base
+				v.mut(&opts)
+				res, lines := runWithConfig(t, TwoWay{}, q, rels, opts, mr.Config{})
 				requireSameOutputSet(t, baseRes, res, baseLines, lines)
 			})
 		}
@@ -87,8 +85,8 @@ func TestAdaptiveMatchesUniformAllenPredicates(t *testing.T) {
 }
 
 // TestAdaptiveMatchesUniformAlgorithms covers every algorithm and query
-// class under the pipelined, materialized, and spilling engines — the
-// adaptive key layout must be invisible across all execution modes.
+// class in every engine mode — the adaptive key layout must be invisible
+// everywhere.
 func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -109,15 +107,6 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3"},
 		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
 	}
-	modes := []struct {
-		name        string
-		materialize bool
-		spill       int
-	}{
-		{"pipelined", false, 0},
-		{"materialized", true, 0},
-		{"spilled", false, 200},
-	}
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range cases {
 		q := query.MustParse(tc.query)
@@ -125,19 +114,17 @@ func TestAdaptiveMatchesUniformAlgorithms(t *testing.T) {
 		for i, s := range q.Relations {
 			rels[i] = skewedRelation(rng, s.Name, 40, 150, 30)
 		}
-		for _, mode := range modes {
+		for _, mode := range engineModes {
 			base := Options{
 				Partitions: 6, PartitionsPerDim: 4,
 				Scratch: "adapt", SortValues: true,
-				Materialize: mode.materialize,
 			}
-			baseRes, baseLines := runWithConfig(t, tc.alg, q, rels, base,
-				mr.Config{SpillPairThreshold: mode.spill})
+			baseRes, baseLines := runWithConfig(t, tc.alg, q, rels, base, mode.config(t))
 			for _, v := range adaptiveVariants {
 				t.Run(tc.name+"/"+mode.name+"/"+v.name, func(t *testing.T) {
-					opts, cfg := base, mr.Config{SpillPairThreshold: mode.spill}
-					v.mut(&opts, &cfg)
-					res, lines := runWithConfig(t, tc.alg, q, rels, opts, cfg)
+					opts := base
+					v.mut(&opts)
+					res, lines := runWithConfig(t, tc.alg, q, rels, opts, mode.config(t))
 					requireSameOutputSet(t, baseRes, res, baseLines, lines)
 				})
 			}

@@ -66,7 +66,6 @@ func (a AllRep) Run(ctx *Context) (*Result, error) {
 			plan.emitRange(emit, first, last, tag, encodeTagged(tag, t))
 			return nil
 		},
-		Resplit:    resplitValues(m, streamOfTagged),
 		Reduce:     reduceJoinAtPartition(ctx, plan),
 		Output:     opts.Scratch + "/output",
 		SortValues: opts.SortValues,

@@ -161,11 +161,9 @@ func BenchmarkEncodeVector(b *testing.B) {
 	}
 }
 
-// benchChainAlg runs a multi-cycle algorithm end-to-end on a fresh engine,
-// either pipelined (the default) or with materialised cycle boundaries
-// (sequential RunChain, Hadoop parity). The delta between the two is what
-// the pipelined executor buys on a whole chain.
-func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
+// benchChainAlg runs a multi-cycle algorithm end-to-end on a fresh engine
+// through the pipelined executor.
+func benchChainAlg(b *testing.B, alg Algorithm) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
 	q := query.MustParse("R1 overlaps R2 and R2 overlaps R3")
@@ -173,7 +171,7 @@ func benchChainAlg(b *testing.B, alg Algorithm, materialize bool) {
 	for i, s := range q.Relations {
 		rels[i] = randomRelation(rng, s.Name, 20_000, 400_000, 12)
 	}
-	opts := Options{Partitions: 16, Materialize: materialize}
+	opts := Options{Partitions: 16}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,7 +244,5 @@ func BenchmarkShuffleAllRepExpanded(b *testing.B)    { benchShuffleAlg(b, AllRep
 func BenchmarkShuffleAllMatrix(b *testing.B)         { benchShuffleAlg(b, AllMatrix{}, false) }
 func BenchmarkShuffleAllMatrixExpanded(b *testing.B) { benchShuffleAlg(b, AllMatrix{}, true) }
 
-func BenchmarkChainRCCISSequential(b *testing.B) { benchChainAlg(b, RCCIS{}, true) }
-func BenchmarkChainRCCISPipelined(b *testing.B)  { benchChainAlg(b, RCCIS{}, false) }
-func BenchmarkChainPASMSequential(b *testing.B)  { benchChainAlg(b, PASM{}, true) }
-func BenchmarkChainPASMPipelined(b *testing.B)   { benchChainAlg(b, PASM{}, false) }
+func BenchmarkChainRCCISPipelined(b *testing.B) { benchChainAlg(b, RCCIS{}) }
+func BenchmarkChainPASMPipelined(b *testing.B)  { benchChainAlg(b, PASM{}) }

@@ -84,13 +84,7 @@ func (c Cascade) Run(ctx *Context) (*Result, error) {
 		current = output
 	}
 
-	var perCycle []*mr.Metrics
-	var agg *mr.Metrics
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(jobs...)
-	} else {
-		perCycle, agg, err = ctx.Engine.RunPipeline(mr.ChainStages(jobs...)...)
-	}
+	perCycle, agg, err := ctx.Engine.RunPipeline(mr.ChainStages(jobs...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +311,7 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 		return nil
 	}
 
-	job := mr.Job{
+	return mr.Job{
 		Name:       name,
 		Inputs:     inputs,
 		Map:        mapFn,
@@ -325,12 +319,6 @@ func (c Cascade) stepJob(ctx *Context, opts Options, plan *execPlan, gridPart in
 		Output:     output,
 		SortValues: opts.SortValues,
 	}
-	if !matrix {
-		// The key-independent pair loop decomposes cleanly; matrix steps
-		// already spread load over the 2-D grid.
-		job.Resplit = resplitValues(2, cascadeStreams(step.novel, step.existing))
-	}
-	return job
 }
 
 // satisfiesStep checks every condition between the novel tuple and the

@@ -49,12 +49,6 @@ type Options struct {
 	// that "uniformly distributed data vs skewed data will need to be
 	// processed differently").
 	EquiDepth bool
-	// Materialize runs multi-cycle algorithms as sequential MR cycles with
-	// every cycle boundary written to the store and re-read — Hadoop's
-	// HDFS-barrier behaviour. By default the cycles run on the engine's
-	// pipelined executor, which streams cycle boundaries and overlaps one
-	// cycle's reduce phase with the next cycle's map phase.
-	Materialize bool
 	// Adaptive turns on the skew-aware planner: partition boundaries fall
 	// back to equi-depth when the start-point histogram predicts a
 	// straggler factor worth acting on, and partitions whose projected
@@ -338,31 +332,11 @@ type Algorithm interface {
 	Run(ctx *Context) (*Result, error)
 }
 
-// runMarkedChain executes a mark cycle followed by downstream cycles. In
-// the default pipelined mode the marking output streams straight into the
-// next cycle's map feed and the replicate-flag count is computed by a tap
-// on the fly; under Options.Materialize the chain runs sequentially and the
-// count is read back from the marked file, exactly as a Hadoop driver would
-// re-scan the HDFS intermediate.
-func runMarkedChain(ctx *Context, opts Options, marked string, markJob mr.Job,
-	rest ...mr.Stage) ([]*mr.Metrics, *mr.Metrics, int64, error) {
-
-	if opts.Materialize {
-		jobs := make([]mr.Job, 0, len(rest)+1)
-		jobs = append(jobs, markJob)
-		for _, s := range rest {
-			jobs = append(jobs, s.Job)
-		}
-		perCycle, agg, err := ctx.Engine.RunChain(jobs...)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		replicated, err := countFlagged(ctx, marked)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return perCycle, agg, replicated, nil
-	}
+// runMarkedChain executes a mark cycle followed by downstream cycles on the
+// pipelined executor: the marking output streams straight into the next
+// cycle's map feed and a tap counts the replicate-flagged records as they
+// pass, where a Hadoop driver would re-scan the HDFS intermediate.
+func runMarkedChain(ctx *Context, markJob mr.Job, rest ...mr.Stage) ([]*mr.Metrics, *mr.Metrics, int64, error) {
 	var replicated int64
 	stages := append([]mr.Stage{{Job: markJob, Tap: flaggedTap(&replicated)}}, rest...)
 	perCycle, agg, err := ctx.Engine.RunPipeline(stages...)
@@ -373,8 +347,8 @@ func runMarkedChain(ctx *Context, opts Options, marked string, markJob mr.Job,
 }
 
 // flaggedTap counts records with a set flag streaming out of a mark cycle —
-// the pipelined stand-in for countFlagged, which would force the marked
-// intermediate onto the store.
+// the paper's "# Intervals Replicated" statistic, taken without writing the
+// marked intermediate to the store.
 func flaggedTap(n *int64) func(string) {
 	return func(rec string) {
 		if h, err := relation.DecodeHeader(rec); err == nil && h.Flagged() {
@@ -383,32 +357,9 @@ func flaggedTap(n *int64) func(string) {
 	}
 }
 
-// countFlagged counts the records of a marking output with a set flag —
-// the paper's "# Intervals Replicated" statistic.
-func countFlagged(ctx *Context, file string) (int64, error) {
-	var n int64
-	err := forEachRecord(ctx, file, func(rec string) error {
-		h, err := relation.DecodeHeader(rec)
-		if h.Flagged() {
-			n++
-		}
-		return err
-	})
-	return n, err
-}
-
-// readOutput decodes the final job output file into Result.Tuples.
+// readOutput decodes the final job output file into Result.Tuples,
+// stopping at the first error.
 func readOutput(ctx *Context, file string, res *Result) error {
-	return forEachRecord(ctx, file, func(rec string) error {
-		ids, err := relation.DecodeRow(rec)
-		res.Tuples = append(res.Tuples, ids)
-		return err
-	})
-}
-
-// forEachRecord calls fn on every record of a store file, stopping at the
-// first error.
-func forEachRecord(ctx *Context, file string, fn func(rec string) error) error {
 	it, err := ctx.Engine.Store().Open(file)
 	if err != nil {
 		return err
@@ -419,7 +370,9 @@ func forEachRecord(ctx *Context, file string, fn func(rec string) error) error {
 		if err != nil || !ok {
 			return err
 		}
-		if err := fn(rec); err != nil {
+		ids, err := relation.DecodeRow(rec)
+		res.Tuples = append(res.Tuples, ids)
+		if err != nil {
 			return err
 		}
 	}

@@ -56,7 +56,7 @@ func (a FCTS) Run(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	seqJob.Meta = ctx.jobMeta(a.Name(), 3)
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob,
+	perCycle, agg, replicated, err := runMarkedChain(ctx, markJob,
 		mr.Stage{Job: compJob}, mr.Stage{Job: seqJob})
 	if err != nil {
 		return nil, err

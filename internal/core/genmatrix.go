@@ -100,29 +100,16 @@ func (a GenMatrix) Run(ctx *Context) (*Result, error) {
 	}
 	joinJob.Meta = ctx.jobMeta(a.Name(), 3)
 
-	var perCycle []*mr.Metrics
-	var agg *mr.Metrics
 	var replicated int64
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(markJob, mergeJob, joinJob)
-		if err != nil {
-			return nil, err
-		}
-		replicated, err = countFlagged(ctx, merged)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		perCycle, agg, err = ctx.Engine.RunPipeline(
-			mr.Stage{Job: markJob},
-			// Count tuples with a replicate-flagged vertex on the fly
-			// (countFlagged's store scan, without the store).
-			mr.Stage{Job: mergeJob, Tap: flaggedTap(&replicated)},
-			mr.Stage{Job: joinJob},
-		)
-		if err != nil {
-			return nil, err
-		}
+	perCycle, agg, err := ctx.Engine.RunPipeline(
+		mr.Stage{Job: markJob},
+		// Count tuples with a replicate-flagged vertex as they stream
+		// out of the merge cycle.
+		mr.Stage{Job: mergeJob, Tap: flaggedTap(&replicated)},
+		mr.Stage{Job: joinJob},
+	)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{Algorithm: a.Name(), Metrics: agg, PerCycle: perCycle, ReplicatedIntervals: replicated}
 	if err := readOutput(ctx, joinJob.Output, res); err != nil {

@@ -50,66 +50,32 @@ func (a PASM) Run(ctx *Context) (*Result, error) {
 	}
 
 	marked := opts.Scratch + "/marked"
-	prunedFile := opts.Scratch + "/pruned"
 	markJob := componentMarkJob(ctx, opts, part, d, marked)
 	markJob.Meta = ctx.jobMeta(a.Name(), 1)
-	pJob := pruneJob(ctx, opts, part, d, marked, prunedFile)
+	pJob := pruneJob(ctx, opts, part, d, marked)
 	pJob.Meta = ctx.jobMeta(a.Name(), 2)
 	output := opts.Scratch + "/output"
 
-	var (
-		perCycle     []*mr.Metrics
-		agg          *mr.Metrics
-		prunedCounts map[int]int64
-		replicated   int64
+	// The marking streams into the prune cycle (and is still materialised
+	// because the join cycle re-reads it), the prune records never touch
+	// the store — a tap fills the id sets the join cycle's map consults —
+	// and the prune→join boundary is a barrier, so the sets are complete
+	// before any join map runs.
+	pruned := make([]map[int64]bool, len(ctx.Rels))
+	prunedCounts := make(map[int]int64)
+	var replicated int64
+	joinJob, err := componentJoinJob(ctx, opts, part, d, marked, output, pruned)
+	if err != nil {
+		return nil, err
+	}
+	joinJob.Meta = ctx.jobMeta(a.Name(), 3)
+	perCycle, agg, err := ctx.Engine.RunPipeline(
+		mr.Stage{Job: markJob, Tap: flaggedTap(&replicated)},
+		mr.Stage{Job: pJob, Tap: prunedTap(pruned, prunedCounts)},
+		mr.Stage{Job: joinJob},
 	)
-	if opts.Materialize {
-		perCycle, agg, err = ctx.Engine.RunChain(markJob, pJob)
-		if err != nil {
-			return nil, err
-		}
-		pruned, counts, err := loadPruned(ctx, prunedFile, len(ctx.Rels))
-		if err != nil {
-			return nil, err
-		}
-		prunedCounts = counts
-		joinJob, err := componentJoinJob(ctx, opts, part, d, marked, output, pruned)
-		if err != nil {
-			return nil, err
-		}
-		joinJob.Meta = ctx.jobMeta(a.Name(), 3)
-		m, err := ctx.Engine.Run(joinJob)
-		if err != nil {
-			return nil, err
-		}
-		perCycle = append(perCycle, m)
-		agg.Merge(m)
-		replicated, err = countFlagged(ctx, marked)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Pipelined: the marking streams into the prune cycle (and is
-		// still materialised because the join cycle re-reads it), the
-		// prune records never touch the store — a tap fills the id sets
-		// the join cycle's map consults — and the prune→join boundary is
-		// a barrier, so the sets are complete before any join map runs.
-		pruned := make([]map[int64]bool, len(ctx.Rels))
-		prunedCounts = make(map[int]int64)
-		pJob.Output = ""
-		joinJob, err := componentJoinJob(ctx, opts, part, d, marked, output, pruned)
-		if err != nil {
-			return nil, err
-		}
-		joinJob.Meta = ctx.jobMeta(a.Name(), 3)
-		perCycle, agg, err = ctx.Engine.RunPipeline(
-			mr.Stage{Job: markJob, Tap: flaggedTap(&replicated)},
-			mr.Stage{Job: pJob, Tap: prunedTap(pruned, prunedCounts)},
-			mr.Stage{Job: joinJob},
-		)
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -128,29 +94,24 @@ func (a PASM) Run(ctx *Context) (*Result, error) {
 
 // prunedTap collects the prune records streaming out of cycle 2 into the
 // per-relation id sets the join cycle's map consults — the pipelined
-// stand-in for loadPruned's distributed-cache read. Malformed records are
+// stand-in for Hadoop's distributed-cache read. Malformed records are
 // impossible by construction (the tap sees exactly what the prune reducer
 // wrote) and are ignored.
 func prunedTap(pruned []map[int64]bool, counts map[int]int64) func(string) {
-	return func(rec string) { addPruned(pruned, counts, rec) }
-}
-
-// addPruned records one (rel, id) prune row in the id sets, reporting
-// whether rec was a well-formed prune row.
-func addPruned(pruned []map[int64]bool, counts map[int]int64, rec string) bool {
-	row, err := relation.DecodeRow(rec)
-	if err != nil || len(row) != 2 || row[0] < 0 || row[0] >= int64(len(pruned)) {
-		return false
+	return func(rec string) {
+		row, err := relation.DecodeRow(rec)
+		if err != nil || len(row) != 2 || row[0] < 0 || row[0] >= int64(len(pruned)) {
+			return
+		}
+		rel, id := int(row[0]), row[1]
+		if pruned[rel] == nil {
+			pruned[rel] = make(map[int64]bool)
+		}
+		if !pruned[rel][id] {
+			pruned[rel][id] = true
+			counts[rel]++
+		}
 	}
-	rel, id := int(row[0]), row[1]
-	if pruned[rel] == nil {
-		pruned[rel] = make(map[int64]bool)
-	}
-	if !pruned[rel][id] {
-		pruned[rel][id] = true
-		counts[rel]++
-	}
-	return true
 }
 
 // pruneJob builds PASM's cycle 2. Key space: component*o + partition. Each
@@ -158,7 +119,8 @@ func addPruned(pruned []map[int64]bool, counts map[int]int64, rec string) bool {
 // would route them in one dimension, and decides for every tuple whose home
 // partition this is whether it participates in any output of the
 // component's colocation sub-query. Non-participating tuples are published
-// as (rel, id) prune rows.
+// as (rel, id) prune rows; the job writes no output file, a stage tap
+// collects the rows.
 //
 // The decision is exact for unreplicated tuples (all assignments containing
 // them are local to their home partition) and conservative (never pruned)
@@ -166,7 +128,7 @@ func addPruned(pruned []map[int64]bool, counts map[int]int64, rec string) bool {
 // components are skipped entirely: their sub-query output is the relation
 // itself, so nothing can be pruned.
 func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
-	d *query.Decomposition, marked, output string) mr.Job {
+	d *query.Decomposition, marked string) mr.Job {
 
 	comp := compOfRel(d)
 	o := int64(part.Len())
@@ -252,21 +214,6 @@ func pruneJob(ctx *Context, opts Options, part interval.Partitioning,
 			}
 			return nil
 		},
-		Output:     output,
 		SortValues: opts.SortValues,
 	}
-}
-
-// loadPruned reads the prune records into per-relation id sets (the
-// driver-side stand-in for Hadoop's distributed cache).
-func loadPruned(ctx *Context, file string, m int) ([]map[int64]bool, map[int]int64, error) {
-	pruned := make([]map[int64]bool, m)
-	counts := make(map[int]int64)
-	err := forEachRecord(ctx, file, func(rec string) error {
-		if !addPruned(pruned, counts, rec) {
-			return fmt.Errorf("core: malformed prune record %q", rec)
-		}
-		return nil
-	})
-	return pruned, counts, err
 }

@@ -17,8 +17,10 @@ import (
 func runWithConfig(t *testing.T, alg Algorithm, q *query.Query, rels []*relation.Relation,
 	opts Options, cfg mr.Config) (*Result, []string) {
 	t.Helper()
-	store := dfs.NewMem()
-	cfg.Store = store
+	if cfg.Store == nil {
+		cfg.Store = dfs.NewMem()
+	}
+	store := cfg.Store
 	cfg.Workers = 4
 	engine := mr.NewEngine(cfg)
 	ctx, err := NewContext(engine, q, rels, opts)
@@ -34,6 +36,38 @@ func runWithConfig(t *testing.T, alg Algorithm, q *query.Query, rels []*relation
 		t.Fatalf("%s: reading output: %v", alg.Name(), err)
 	}
 	return res, lines
+}
+
+// engineMode is one engine setup the algorithm equivalence tests repeat
+// every case under. The in-memory store runs with an in-memory or a
+// spilling shuffle; the disk-backed store materializes every file the chain
+// puts on the store (staged inputs, store-barrier boundaries, boundaries a
+// later cycle re-reads, the output) and decodes it back from disk.
+type engineMode struct {
+	name  string
+	spill int
+	disk  bool
+}
+
+var engineModes = []engineMode{
+	{name: "pipelined"},
+	{name: "materialized", disk: true},
+	{name: "spilled", spill: 200},
+}
+
+// config returns the mode's engine configuration; a disk mode gets a fresh
+// store under a test temporary directory.
+func (m engineMode) config(t *testing.T) mr.Config {
+	t.Helper()
+	cfg := mr.Config{SpillPairThreshold: m.spill}
+	if m.disk {
+		d, err := dfs.NewDisk(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = d
+	}
+	return cfg
 }
 
 // requireSameRun asserts the range-coalesced run matched the expanded run
@@ -96,8 +130,8 @@ func TestRangeEmitMatchesExpandedAllenPredicates(t *testing.T) {
 }
 
 // TestRangeEmitMatchesExpandedAlgorithms covers every algorithm and query
-// class, in the pipelined (default) and materialized execution modes, plus a
-// spilling engine — the coalesced shuffle must be invisible everywhere.
+// class in every engine mode — the coalesced shuffle must be invisible
+// everywhere.
 func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -118,16 +152,6 @@ func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 		{"pasm-hybrid", PASM{}, "R1 before R2 and R1 overlaps R3"},
 		{"gen-matrix", GenMatrix{}, "R1 before R2 and R1 overlaps R3"},
 	}
-	modes := []struct {
-		name        string
-		materialize bool
-		spill       int
-	}{
-		{"pipelined", false, 0},
-		{"materialized", false, 0}, // overwritten below
-		{"spilled", false, 200},
-	}
-	modes[1].materialize = true
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range cases {
 		q := query.MustParse(tc.query)
@@ -135,17 +159,16 @@ func TestRangeEmitMatchesExpandedAlgorithms(t *testing.T) {
 		for i, s := range q.Relations {
 			rels[i] = randomRelation(rng, s.Name, 40, 150, 30)
 		}
-		for _, mode := range modes {
+		for _, mode := range engineModes {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
 				opts := Options{
 					Partitions: 6, PartitionsPerDim: 4,
 					Scratch: "equiv", SortValues: true,
-					Materialize: mode.materialize,
 				}
-				expandRes, expandLines := runWithConfig(t, tc.alg, q, rels, opts,
-					mr.Config{ExpandRangeEmits: true, SpillPairThreshold: mode.spill})
-				rangeRes, rangeLines := runWithConfig(t, tc.alg, q, rels, opts,
-					mr.Config{SpillPairThreshold: mode.spill})
+				expandCfg := mode.config(t)
+				expandCfg.ExpandRangeEmits = true
+				expandRes, expandLines := runWithConfig(t, tc.alg, q, rels, opts, expandCfg)
+				rangeRes, rangeLines := runWithConfig(t, tc.alg, q, rels, opts, mode.config(t))
 				requireSameRun(t, rangeRes, expandRes, rangeLines, expandLines)
 			})
 		}

@@ -85,14 +85,13 @@ func (r RCCIS) Run(ctx *Context) (*Result, error) {
 			plan.emitRange(emit, first, last, h.Rel, encodeTagged(h.Rel, t))
 			return nil
 		},
-		Resplit:    resplitValues(m, streamOfTagged),
 		Reduce:     reduceJoinAtPartition(ctx, plan),
 		Output:     opts.Scratch + "/output",
 		SortValues: opts.SortValues,
 		Meta:       ctx.jobMeta(r.Name(), 2),
 	}
 
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob, mr.Stage{Job: joinJob})
+	perCycle, agg, replicated, err := runMarkedChain(ctx, markJob, mr.Stage{Job: joinJob})
 	if err != nil {
 		return nil, err
 	}

@@ -74,9 +74,6 @@ func TestDecodeTaggedErrors(t *testing.T) {
 			t.Errorf("decodePartial with a cut second record %q succeeded", s)
 		}
 	}
-	if streamOfTagged("\x80") != -1 {
-		t.Error("streamOfTagged classified a malformed record")
-	}
 	var n int64
 	tap := flaggedTap(&n)
 	tap("\x80")

@@ -59,7 +59,7 @@ func (s SeqMatrix) Run(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	joinJob.Meta = ctx.jobMeta(s.Name(), 2)
-	perCycle, agg, replicated, err := runMarkedChain(ctx, opts, marked, markJob, mr.Stage{Job: joinJob})
+	perCycle, agg, replicated, err := runMarkedChain(ctx, markJob, mr.Stage{Job: joinJob})
 	if err != nil {
 		return nil, err
 	}

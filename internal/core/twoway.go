@@ -70,7 +70,6 @@ func (tw TwoWay) Run(ctx *Context) (*Result, error) {
 			plan.emitRange(emit, first, last, tag, encodeTagged(tag, t))
 			return nil
 		},
-		Resplit: resplitValues(2, streamOfTagged),
 		Reduce: func(key int64, values []string, write func(string) error) error {
 			// Exactly one reducer sees each satisfying pair: the strategy
 			// projects at least one side, so no dedup filter is needed.

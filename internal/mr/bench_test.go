@@ -91,11 +91,9 @@ func BenchmarkEngineWithCombiner(b *testing.B) {
 	b.SetBytes(n)
 }
 
-// benchEngineChain measures a 3-cycle chain end-to-end, either through the
-// sequential RunChain (every boundary written to the store and re-read) or
+// BenchmarkEngineChainPipelined measures a 3-cycle chain end-to-end through
 // the pipelined executor (boundaries streamed between cycles).
-func benchEngineChain(b *testing.B, pipelined bool) {
-	b.Helper()
+func BenchmarkEngineChainPipelined(b *testing.B) {
 	const n = 50_000
 	store := dfs.NewMem()
 	recs := make([]string, n)
@@ -110,18 +108,9 @@ func benchEngineChain(b *testing.B, pipelined bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if pipelined {
-			_, _, err = e.RunPipeline(ChainStages(jobs...)...)
-		} else {
-			_, _, err = e.RunChain(jobs...)
-		}
-		if err != nil {
+		if _, _, err := e.RunPipeline(ChainStages(jobs...)...); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(n)
 }
-
-func BenchmarkEngineChainSequential(b *testing.B) { benchEngineChain(b, false) }
-func BenchmarkEngineChainPipelined(b *testing.B)  { benchEngineChain(b, true) }

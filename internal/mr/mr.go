@@ -158,16 +158,6 @@ type Job struct {
 	// making runs deterministic (Hadoop guarantees key order; this
 	// additionally pins value order the way a secondary sort would).
 	SortValues bool
-	// Resplit, when set alongside Config.ResplitPairThreshold, lets the
-	// engine re-shard an oversized reduce task's value list into sub-tasks
-	// mid-job (before dispatch). The hook must return shards such that
-	// reducing each shard independently and concatenating the outputs in
-	// shard order produces exactly the records of reducing the whole list
-	// (values may be replicated across shards to keep that true — the
-	// drivers use a cell cover over the join's input streams). Returning
-	// nil or a single shard declines the split. Each shard runs under the
-	// task's original key with full retry semantics.
-	Resplit func(key int64, values []string, parts int) [][]string
 	// Meta annotates the job for observability: the tracer's cycle spans
 	// and the optional pprof labels carry it, so traces and CPU profiles
 	// attribute time to (algorithm, cycle, predicate family) rather than
@@ -221,19 +211,10 @@ type Config struct {
 	// may return an error (typically wrapping ErrTransient) to simulate
 	// task failures. Used by the failure-injection tests.
 	FailureInjector func(phase Phase, task, attempt int) error
-	// MaterializeBoundaries forces RunPipeline to write every streamed
-	// cycle boundary to the store as well — Hadoop-parity behaviour for
-	// debugging and post-mortem inspection of intermediates.
-	MaterializeBoundaries bool
 	// ExpandRangeEmits makes EmitRange materialise one pair per covered key
 	// at emit time instead of shipping a single range record — the legacy
 	// per-partition shuffle, kept for ablations and equivalence tests.
 	ExpandRangeEmits bool
-	// ResplitPairThreshold arms the mid-job re-split: a reduce task whose
-	// shuffled value count reaches the threshold is re-sharded through
-	// Job.Resplit (when the job provides the hook) and its shards reduced
-	// concurrently on spare goroutines. 0 disables re-splitting.
-	ResplitPairThreshold int
 	// Tracer, when non-nil, records structured execution spans (per map
 	// and reduce task, spill, shuffle merge, cycle and chain) plus
 	// counters and histograms into internal/obs. A nil tracer disables
@@ -248,9 +229,7 @@ type Engine struct {
 	spill        int
 	attempts     int
 	inject       func(phase Phase, task, attempt int) error
-	materialize  bool
 	expandRanges bool
-	resplit      int
 	tracer       *obs.Tracer
 }
 
@@ -270,9 +249,7 @@ func NewEngine(cfg Config) *Engine {
 		spill:        cfg.SpillPairThreshold,
 		attempts:     a,
 		inject:       cfg.FailureInjector,
-		materialize:  cfg.MaterializeBoundaries,
 		expandRanges: cfg.ExpandRangeEmits,
-		resplit:      cfg.ResplitPairThreshold,
 		tracer:       cfg.Tracer,
 	}
 }
@@ -331,34 +308,6 @@ func (e *Engine) runJob(job Job, stream <-chan []taggedRecord, snk *sink, writeO
 		jobLane.End(obs.CatCycle, "cycle:"+job.Name, jobStart, job.Meta.traceArgs()...)
 	}
 	return m, nil
-}
-
-// RunChain executes jobs sequentially (each typically consuming the previous
-// job's output file) and returns the per-job metrics plus their aggregate.
-func (e *Engine) RunChain(jobs ...Job) ([]*Metrics, *Metrics, error) {
-	var all []*Metrics
-	agg := newMetrics("chain")
-	agg.Cycles = 0
-	mark := e.tracer.Now()
-	chainLane := e.tracer.Acquire()
-	chainStart := chainLane.Begin()
-	for i, job := range jobs {
-		if i > 0 {
-			// Every boundary in a sequential chain is a store barrier.
-			chainLane.Event(obs.CatBarrier, "barrier:"+job.Name)
-		}
-		m, err := e.runJob(job, nil, nil, true)
-		if err != nil {
-			e.tracer.Release(chainLane)
-			return all, agg, err
-		}
-		all = append(all, m)
-		agg.Merge(m)
-	}
-	chainLane.End(obs.CatChain, "chain", chainStart)
-	e.tracer.Release(chainLane)
-	e.fillTrueWalls(agg, mark)
-	return all, agg, nil
 }
 
 // fillTrueWalls sets m's tracer-measured per-phase wall clocks from the
@@ -1042,73 +991,6 @@ func (e *Engine) runReduceTask(job Job, task int, key int64, values []string, m 
 	}
 }
 
-// runReduceTaskSplit executes one reduce task, re-splitting it mid-job
-// when its shuffled volume crossed Config.ResplitPairThreshold and the
-// job opted in via Job.Resplit: the value list is re-sharded by the hook
-// and the shards reduced concurrently on spare goroutines — the
-// single-process analogue of re-scheduling a hot reduce task's input
-// across idle cluster workers. Each shard keeps the original key and the
-// full per-attempt retry machinery; the shard outputs are concatenated in
-// shard order into one result, so downstream (sink delivery, output
-// commit, per-key metrics) sees exactly one task whose duration is the
-// wall clock of the whole split execution.
-func (e *Engine) runReduceTaskSplit(job Job, task int, key int64, values []string, m *retryCounter, lane *obs.Lane, spanName string) (reduceResult, error) {
-	if job.Resplit == nil || e.resplit <= 0 || len(values) < e.resplit {
-		return e.runReduceTask(job, task, key, values, m, lane, spanName)
-	}
-	parts := (len(values) + e.resplit - 1) / e.resplit
-	if parts > e.workers {
-		parts = e.workers
-	}
-	if parts < 2 {
-		parts = 2
-	}
-	splitStart := lane.Begin()
-	t0 := time.Now()
-	shards := job.Resplit(key, values, parts)
-	if len(shards) <= 1 {
-		return e.runReduceTask(job, task, key, values, m, lane, spanName)
-	}
-	results := make([]reduceResult, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	live := 0
-	for si := range shards {
-		if len(shards[si]) == 0 {
-			continue
-		}
-		live++
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			slane := e.tracer.Acquire()
-			defer e.tracer.Release(slane)
-			var span string
-			if slane != nil {
-				span = "reduce-shard:" + job.Name
-			}
-			results[si], errs[si] = e.runReduceTask(job, task, key, shards[si], m, slane, span)
-		}(si)
-	}
-	wg.Wait()
-	merged := reduceResult{key: key, pairs: int64(len(values))}
-	for si := range shards {
-		if errs[si] != nil {
-			return reduceResult{}, errs[si]
-		}
-		merged.output = append(merged.output, results[si].output...)
-	}
-	merged.duration = time.Since(t0)
-	if lane != nil {
-		lane.End(obs.CatResplit, "resplit:"+job.Name, splitStart,
-			obs.Arg{Key: "key", Val: strconv.FormatInt(key, 10)},
-			obs.Arg{Key: "shards", Val: strconv.Itoa(live)})
-		lane.Count("resplit_tasks", 1)
-		lane.Count("resplit_shards", int64(live))
-	}
-	return merged, nil
-}
-
 // withReduceLabels runs fn, labelling its goroutine for CPU profiles when
 // the tracer asks for pprof labels, so profile samples attribute reduce
 // time to (algorithm, cycle, job) instead of anonymous worker goroutines.
@@ -1180,7 +1062,7 @@ func (e *Engine) reduceInMemory(job Job, shuffle *shuffleState, m *Metrics, snk 
 			e.withReduceLabels(job, func() {
 				for ki := range keyc {
 					key := keys[ki]
-					res, err := e.runReduceTaskSplit(job, ki, key, shuffle.group(key), &retries, lane, reduceSpan)
+					res, err := e.runReduceTask(job, ki, key, shuffle.group(key), &retries, lane, reduceSpan)
 					if err != nil {
 						errc <- err
 						for range keyc {
@@ -1248,7 +1130,7 @@ func (e *Engine) reduceStreaming(job Job, shuffle *shuffleState, m *Metrics, snk
 			}
 			e.withReduceLabels(job, func() {
 				for t := range taskc {
-					res, err := e.runReduceTaskSplit(job, t.idx, t.key, *t.values, &retries, lane, reduceSpan)
+					res, err := e.runReduceTask(job, t.idx, t.key, *t.values, &retries, lane, reduceSpan)
 					recycleValues(t.values)
 					if err != nil {
 						errc <- err

@@ -243,57 +243,6 @@ func TestEmptyInputProducesEmptyOutput(t *testing.T) {
 	}
 }
 
-func TestRunChain(t *testing.T) {
-	e := newTestEngine(t, 4)
-	writeInput(t, e, "in", []string{"1", "2", "3"})
-	inc := Job{
-		Name:   "inc",
-		Inputs: []Input{{File: "in"}},
-		Map: func(tag int, record string, emit Emitter) error {
-			n, _ := strconv.Atoi(record)
-			emit.Emit(0, strconv.Itoa(n+1))
-			return nil
-		},
-		Reduce: func(key int64, values []string, write func(string) error) error {
-			for _, v := range values {
-				if err := write(v); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Output:     "mid",
-		SortValues: true,
-	}
-	double := inc
-	double.Name = "double"
-	double.Inputs = []Input{{File: "mid"}}
-	double.Map = func(tag int, record string, emit Emitter) error {
-		n, _ := strconv.Atoi(record)
-		emit.Emit(0, strconv.Itoa(n*2))
-		return nil
-	}
-	double.Output = "out"
-	per, agg, err := e.RunChain(inc, double)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(per) != 2 || agg.Cycles != 2 {
-		t.Fatalf("chain metrics: %d jobs, cycles=%d", len(per), agg.Cycles)
-	}
-	if agg.IntermediatePairs != 6 {
-		t.Fatalf("aggregate pairs = %d, want 6", agg.IntermediatePairs)
-	}
-	out, _ := dfs.ReadAll(e.Store(), "out")
-	sort.Strings(out)
-	want := []string{"4", "6", "8"}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("output = %v, want %v", out, want)
-		}
-	}
-}
-
 func TestMetricsReducerStats(t *testing.T) {
 	m := newMetrics("x")
 	m.ReducerPairs[0] = 10

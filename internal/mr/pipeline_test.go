@@ -84,20 +84,28 @@ func stageInput(n int) []string {
 	return recs
 }
 
-func runChainOn(t *testing.T, cfg Config) ([]string, []*Metrics, *Metrics) {
+// runChainOn is the store-barrier reference: it runs the chain's jobs one
+// after another with Engine.Run, so every boundary is written to the store
+// and re-read by the next job, as between chained Hadoop jobs.
+func runChainOn(t *testing.T, cfg Config) ([]string, []*Metrics) {
 	t.Helper()
 	store := dfs.NewMem()
 	cfg.Store = store
 	dfs.WriteAll(store, "in", stageInput(5000))
-	per, agg, err := NewEngine(cfg).RunChain(chainJobs()...)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngine(cfg)
+	var per []*Metrics
+	for _, job := range chainJobs() {
+		m, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per = append(per, m)
 	}
 	out, err := dfs.ReadAll(store, "t/out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, per, agg
+	return out, per
 }
 
 func runPipelineOn(t *testing.T, cfg Config, stages []Stage) (dfs.Store, []string, []*Metrics, *Metrics) {
@@ -132,7 +140,7 @@ func sameLines(t *testing.T, got, want []string) {
 // pipelined executor must produce byte-identical final output while never
 // touching the store for the streamed boundaries.
 func TestPipelineMatchesChain(t *testing.T) {
-	want, _, _ := runChainOn(t, Config{Workers: 4})
+	want, _ := runChainOn(t, Config{Workers: 4})
 	store, got, per, agg := runPipelineOn(t, Config{Workers: 4}, ChainStages(chainJobs()...))
 	sameLines(t, got, want)
 
@@ -164,20 +172,41 @@ func TestPipelineMatchesChain(t *testing.T) {
 	}
 }
 
-// TestPipelineMaterializeBoundaries checks the Hadoop-parity flag: every
-// boundary is still written, and its contents equal the sequential run's.
+// TestPipelineMaterializeBoundaries checks which boundaries a pipeline
+// still writes: a streamed boundary that a later stage also reads from the
+// store is materialised, with the same contents as the store-barrier run,
+// while a boundary only its consumer reads is streamed and never written.
 func TestPipelineMaterializeBoundaries(t *testing.T) {
+	jobs := chainJobs()
+	// A fourth stage re-reads the 1→2 boundary from the store. It does not
+	// read t/out, so a barrier separates it from the streamed group.
+	side := jobs[2]
+	side.Name = "t/side"
+	side.Inputs = []Input{{File: "t/inter-1"}}
+	side.Output = "t/side-out"
+	jobs = append(jobs, side)
+
 	chainStore := dfs.NewMem()
 	dfs.WriteAll(chainStore, "in", stageInput(5000))
-	if _, _, err := NewEngine(Config{Store: chainStore, Workers: 4}).RunChain(chainJobs()...); err != nil {
+	chain := NewEngine(Config{Store: chainStore, Workers: 4})
+	for _, job := range jobs {
+		if _, err := chain.Run(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, got, per, _ := runPipelineOn(t, Config{Workers: 4}, ChainStages(jobs...))
+	want, err := dfs.ReadAll(chainStore, "t/out")
+	if err != nil {
 		t.Fatal(err)
 	}
-	store, _, _, agg := runPipelineOn(t,
-		Config{Workers: 4, MaterializeBoundaries: true}, ChainStages(chainJobs()...))
-	if agg.StreamedPairs == 0 {
-		t.Error("materialized boundaries should still stream")
+	sameLines(t, got, want)
+	if per[0].StreamedPairs == 0 {
+		t.Error("the re-read 1→2 boundary should still stream to stage 2")
 	}
-	for _, f := range []string{"t/inter-1", "t/inter-2", "t/out"} {
+	if store.Exists("t/inter-2") {
+		t.Error("boundary t/inter-2 was materialised though only its consumer reads it")
+	}
+	for _, f := range []string{"t/inter-1", "t/side-out"} {
 		want, err := dfs.ReadAll(chainStore, f)
 		if err != nil {
 			t.Fatal(err)
@@ -190,23 +219,10 @@ func TestPipelineMaterializeBoundaries(t *testing.T) {
 	}
 }
 
-// TestPipelineStageMaterialize checks the per-stage override.
-func TestPipelineStageMaterialize(t *testing.T) {
-	stages := ChainStages(chainJobs()...)
-	stages[0].Materialize = true
-	store, _, _, _ := runPipelineOn(t, Config{Workers: 4}, stages)
-	if !store.Exists("t/inter-1") {
-		t.Error("Stage.Materialize did not write the boundary file")
-	}
-	if store.Exists("t/inter-2") {
-		t.Error("unmarked boundary was materialised")
-	}
-}
-
 // TestPipelineSpill runs the pipelined chain with the external sort-merge
 // shuffle engaged in every stage.
 func TestPipelineSpill(t *testing.T) {
-	want, _, _ := runChainOn(t, Config{Workers: 4})
+	want, _ := runChainOn(t, Config{Workers: 4})
 	_, got, _, agg := runPipelineOn(t,
 		Config{Workers: 4, SpillPairThreshold: 200}, ChainStages(chainJobs()...))
 	sameLines(t, got, want)
@@ -262,7 +278,7 @@ func (f *firstAttemptInjector) inject(_ Phase, _, attempt int) error {
 // sequential no-fault output: upstream reduce tasks re-run before handing
 // output downstream, downstream map tasks re-run from the buffered batch.
 func TestPipelineFaultInjection(t *testing.T) {
-	want, _, _ := runChainOn(t, Config{Workers: 4})
+	want, _ := runChainOn(t, Config{Workers: 4})
 	inj := &firstAttemptInjector{}
 	_, got, _, agg := runPipelineOn(t,
 		Config{Workers: 4, MaxTaskAttempts: 3, FailureInjector: inj.inject},
@@ -316,8 +332,8 @@ func TestPipelinePersistentFailure(t *testing.T) {
 }
 
 // TestPipelineBarrierBoundary checks that a non-streamable boundary (the
-// downstream job does not read the upstream output) degrades to RunChain
-// semantics: sequential execution with the file written.
+// downstream job does not read the upstream output) degrades to a store
+// barrier: sequential execution with the file written.
 func TestPipelineBarrierBoundary(t *testing.T) {
 	jobs := chainJobs()
 	// Break the 1→2 edge: job 2 reads a copy staged up front, not job 1's

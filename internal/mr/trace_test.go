@@ -10,15 +10,17 @@ import (
 )
 
 // TestTracedRunMatchesUntraced is the observability equivalence check: a
-// tracer must never change what the engine computes. Both the sequential
-// chain and the pipelined executor must produce byte-identical output with
-// and without a tracer attached.
+// tracer must never change what the engine computes. Both the job-by-job
+// store-barrier chain and the pipelined executor must produce
+// byte-identical output with and without a tracer attached.
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	want, _, _ := runChainOn(t, Config{Workers: 4})
-	got, _, agg := runChainOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})})
+	want, _ := runChainOn(t, Config{Workers: 4})
+	got, per := runChainOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})})
 	sameLines(t, got, want)
-	if agg.TrueWalls.Zero() {
-		t.Fatal("traced chain aggregate has no TrueWalls")
+	for i, m := range per {
+		if m.TrueWalls.Zero() {
+			t.Fatalf("traced chain job %d has no TrueWalls", i+1)
+		}
 	}
 
 	_, gotP, _, aggP := runPipelineOn(t, Config{Workers: 4, Tracer: obs.New(obs.Options{})},

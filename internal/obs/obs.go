@@ -52,7 +52,7 @@ func (s Span) End() time.Duration { return s.Start + s.Dur }
 // records carries one of these, so exporters and the per-phase wall-clock
 // union can treat the categories as a closed set.
 const (
-	CatChain   = "chain"   // a whole RunChain / RunPipeline execution
+	CatChain   = "chain"   // a whole RunPipeline execution
 	CatCycle   = "cycle"   // one job (MR cycle)
 	CatFeed    = "feed"    // map input file/stream reading
 	CatMap     = "map"     // one map task (record batch)
@@ -63,9 +63,8 @@ const (
 	CatOutput  = "output"  // committing reduce output to the store
 	CatBarrier = "barrier" // non-streamed boundary between pipeline groups
 
-	// Skew-adaptive execution phases (PR 7).
+	// Skew-adaptive planning.
 	CatVirtualSplit = "virtual_split" // plan-time virtual-reducer splitting of hot partitions
-	CatResplit      = "resplit"       // mid-job re-split of an oversized reduce task
 )
 
 // Options configure a Tracer.

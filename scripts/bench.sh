@@ -33,13 +33,13 @@ go test -run '^$' -bench 'ReduceKernel' \
 go test -run '^$' -bench 'Encode' \
     -benchmem -benchtime 20000x -count "$REPS" ./internal/core/ | tee -a "$tmp"
 
-# MR engine end-to-end: parallel feed, sharded shuffle, spilling, and the
-# 3-cycle chain pair (sequential RunChain vs pipelined boundaries).
+# MR engine end-to-end: parallel feed, sharded shuffle, spilling, and a
+# 3-cycle chain with pipelined boundaries.
 go test -run '^$' -bench 'Engine' \
     -benchmem -benchtime 20x -count "$REPS" ./internal/mr/ | tee -a "$tmp"
 
-# Whole multi-cycle algorithm chains (RCCIS, PASM), sequential vs
-# pipelined. Each iteration runs 2-3 full MR cycles, so few iterations.
+# Whole multi-cycle algorithm chains (RCCIS, PASM) on the pipelined
+# executor. Each iteration runs 2-3 full MR cycles, so few iterations.
 go test -run '^$' -bench '^BenchmarkChain' \
     -benchmem -benchtime 5x -count "$REPS" ./internal/core/ | tee -a "$tmp"
 
